@@ -96,14 +96,14 @@ sweep-smoke:
 	echo "sweep-smoke: all points completed and the report rendered"
 
 # End-to-end check of the persistent result store and multi-tenant
-# serving: the resultstore suite (framing, compaction, corrupt-tail
+# serving: the seglog and resultstore suites (framing, compaction, corrupt-tail
 # recovery, follower mode), the service-layer store tier / fair-share /
 # streaming suites, the kill -9 server restart e2e, then a live-binary
 # smoke — fill the store, restart the process on the same directory, and
 # require the scenario to be answered from the store with zero
 # re-evaluation (observed on /metrics).
 store-smoke:
-	$(GO) test -count=1 ./internal/resultstore/
+	$(GO) test -count=1 ./internal/seglog/ ./internal/resultstore/
 	$(GO) test -count=1 -run 'Store|Tenant|FairQueue|FairShare|Stream|Snapshot' \
 		./internal/service/ ./internal/sweep/ ./internal/mc/
 	$(GO) test -count=1 -run 'ServeStore' ./cmd/ahs-serve/
@@ -161,16 +161,14 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'Chaos|Journal|Drain|Backoff|KillMinus9' -timeout 20m ./internal/cluster/
 
-# Native Go fuzzers over the /cluster/v1/ wire decoding and the journal
-# scanner, a short exploratory budget each; the committed seed corpora in
-# internal/cluster/testdata/fuzz/ also run as regression inputs in every
-# plain "go test".
+# Native Go fuzzers over the /cluster/v1/ wire decoding and the log frame
+# scanner shared by the journal, result store and claims segments, a short
+# exploratory budget each; the committed seed corpora under testdata/fuzz/
+# also run as regression inputs in every plain "go test".
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzJournalScan -fuzztime 20s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 20s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzClusterHandlers -fuzztime 20s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 20s ./internal/resultstore/
-	$(GO) test -run '^$$' -fuzz FuzzClaimsScan -fuzztime 20s ./internal/resultstore/
+	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 20s ./internal/seglog/
 
 # Quick-look benchmark pass: regenerates every paper figure at a reduced
 # batch budget and runs the micro/ablation benchmarks.

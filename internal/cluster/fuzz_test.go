@@ -12,15 +12,17 @@ import (
 // layer: journal files read back at startup (possibly torn, truncated or
 // corrupted by the crash being recovered from) and wire messages arriving
 // over HTTP from arbitrary clients. The contract in both cases is the
-// same: malformed input is an error (or a cut/skip), never a panic.
+// same: malformed input is an error (or a cut/skip), never a panic. The
+// frame layer itself is fuzzed by internal/seglog's FuzzScan; the journal
+// harness adds the record decoder on top.
 //
 // CI runs these in regression mode (seed corpus + testdata/fuzz entries);
 // `make fuzz` explores with the mutation engine.
 
-// FuzzJournalScan: scanJournal must never panic, must report a valid
+// FuzzJournalScan: replay's scan must never panic, must report a valid
 // prefix within bounds, and must be self-consistent — rescanning the valid
 // prefix reproduces the exact same outcome (this is what makes startup
-// truncation sound).
+// truncation sound) — and every record it keeps is well formed.
 func FuzzJournalScan(f *testing.F) {
 	good, err := frameRecord(journalRecord{Type: recFinish, Job: 1})
 	if err != nil {
@@ -49,8 +51,8 @@ func FuzzJournalScan(f *testing.F) {
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
 		}
-		if dropped < 0 || len(records) < 0 {
-			t.Fatalf("negative counts: %d records, %d dropped", len(records), dropped)
+		if dropped < 0 {
+			t.Fatalf("negative drop count %d", dropped)
 		}
 		v2, r2, d2 := scanJournal(data[:valid])
 		if v2 != valid || len(r2) != len(records) || d2 != dropped {

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +12,7 @@ import (
 
 	"ahs/internal/config"
 	"ahs/internal/mc"
+	"ahs/internal/seglog"
 	"ahs/internal/telemetry"
 )
 
@@ -32,30 +31,18 @@ import (
 //	snapshot.wal   compacted prefix: the records of every live job
 //	journal.wal    append-only tail since the last compaction
 //
-// Both files are sequences of frames:
-//
-//	uint32-LE payload length | uint32-LE CRC-32C of payload | payload
-//
-// The payload is one JSON journalRecord. A torn write (partial frame at
-// the tail) or a corrupted frame fails its CRC and cuts the replay at the
-// last valid frame — records are applied completely or not at all, never
-// half-applied. Compaction folds the tail into a fresh snapshot via
-// write-to-temp + fsync + atomic rename, then resets the tail; replay is
-// idempotent (duplicate submits and chunks are skipped), so a crash
-// between those two steps at worst replays records twice, harmlessly.
+// Both files are internal/seglog logs (frame format and crash-safety
+// argument there) whose payloads are one JSON journalRecord each.
+// Compaction atomically replaces the snapshot with the live jobs' records,
+// then resets the tail; replay is idempotent (duplicate submits and chunks
+// are skipped), so a crash between those two steps at worst replays
+// records twice, harmlessly.
 
 // Journal file names inside the journal directory.
 const (
 	journalSnapshotName = "snapshot.wal"
 	journalTailName     = "journal.wal"
 )
-
-// maxJournalRecord bounds one frame's payload. Chunk states are kilobytes;
-// anything near this bound is corruption, not data.
-const maxJournalRecord = 64 << 20
-
-// crcTable is the Castagnoli polynomial table shared by all frames.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal record types.
 const (
@@ -126,7 +113,7 @@ type Journal struct {
 	metrics *journalMetrics
 
 	mu       sync.Mutex
-	tail     *os.File
+	tail     *seglog.Log
 	jobs     map[uint64]*journalJob
 	replayed int // CRC-valid records recovered at open
 	dropped  int // torn/corrupt frames cut at open
@@ -193,19 +180,40 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	}
 	j.metrics = newJournalMetrics(cfg.Telemetry, j)
 
-	// Replay snapshot first (the compacted prefix), then the tail.
-	if err := j.replayFile(filepath.Join(cfg.Dir, journalSnapshotName), false); err != nil {
-		return nil, err
+	// Replay snapshot first (the compacted prefix), then the tail, cutting
+	// the tail back to its valid prefix so new appends never follow
+	// garbage.
+	var records []journalRecord
+	collect := func(r seglog.Record) bool {
+		rec, ok := decodeJournalRecord(r.Payload)
+		if ok {
+			records = append(records, rec)
+		}
+		return ok
 	}
+	data, err := os.ReadFile(filepath.Join(cfg.Dir, journalSnapshotName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("cluster: read journal snapshot: %w", err)
+	}
+	_, dropped := seglog.Scan(data, collect)
 	tailPath := filepath.Join(cfg.Dir, journalTailName)
-	if err := j.replayFile(tailPath, true); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(tailPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if j.tail, err = seglog.Open(tailPath, cfg.NoSync, nil); err != nil {
 		return nil, fmt.Errorf("cluster: open journal tail: %w", err)
 	}
-	j.tail = f
+	tailDropped, cut, err := j.tail.ScanTail(collect)
+	if err != nil {
+		j.tail.Close()
+		return nil, fmt.Errorf("cluster: replay journal: %w", err)
+	}
+	if cut > 0 {
+		cfg.Logf("cluster: journal %s: dropping %d torn/corrupt trailing bytes", tailPath, cut)
+	}
+	for _, rec := range records {
+		j.fold(rec)
+	}
+	j.replayed = len(records)
+	j.dropped = dropped + tailDropped
+	j.metrics.replay(j.replayed, j.dropped)
 	if j.replayed > 0 || j.dropped > 0 {
 		cfg.Logf("cluster: journal %s replayed %d records (%d torn/corrupt dropped), %d live jobs",
 			cfg.Dir, j.replayed, j.dropped, len(j.liveJobsLocked()))
@@ -213,64 +221,15 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	return j, nil
 }
 
-// replayFile folds one journal file into the in-memory state. When
-// truncate is set, the file is cut back to its last CRC-valid frame so new
-// appends never follow garbage.
-func (j *Journal) replayFile(path string, truncate bool) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+// decodeJournalRecord decodes one frame payload. A CRC-valid but
+// semantically broken record is rejected, so replay never builds jobs
+// from half-described records.
+func decodeJournalRecord(payload []byte) (journalRecord, bool) {
+	var rec journalRecord
+	if err := json.Unmarshal(payload, &rec); err != nil || !rec.wellFormed() {
+		return journalRecord{}, false
 	}
-	if err != nil {
-		return fmt.Errorf("cluster: read journal %s: %w", path, err)
-	}
-	valid, records, dropped := scanJournal(data)
-	for _, rec := range records {
-		j.fold(rec)
-	}
-	j.replayed += len(records)
-	j.dropped += dropped
-	j.metrics.replay(len(records), dropped)
-	if truncate && valid < int64(len(data)) {
-		j.cfg.Logf("cluster: journal %s: dropping %d torn/corrupt trailing bytes", path, int64(len(data))-valid)
-		if err := os.Truncate(path, valid); err != nil {
-			return fmt.Errorf("cluster: truncate journal %s: %w", path, err)
-		}
-	}
-	return nil
-}
-
-// scanJournal walks framed records from data, returning the byte length of
-// the valid prefix, the decoded records, and the count of frames dropped
-// for CRC/JSON corruption. Scanning stops at the first torn or CRC-invalid
-// frame: everything after it is unreachable (frame boundaries are lost).
-func scanJournal(data []byte) (valid int64, records []journalRecord, dropped int) {
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return off, records, dropped
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxJournalRecord || int64(n) > int64(len(rest)-8) {
-			return off, records, dropped
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, records, dropped
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || !rec.wellFormed() {
-			// CRC-valid but semantically broken: skip the frame, keep
-			// scanning — the framing is still intact past it.
-			dropped++
-		} else {
-			records = append(records, rec)
-		}
-		off += 8 + int64(n)
-		valid = off
-	}
+	return rec, true
 }
 
 // wellFormed checks the per-type field invariants a writer maintains, so
@@ -317,29 +276,13 @@ func (j *Journal) fold(rec journalRecord) {
 	}
 }
 
-// frameRecord encodes one record as a CRC frame ready to write.
-func frameRecord(rec journalRecord) ([]byte, error) {
+// append writes and (unless NoSync) fsyncs one record, folds it into the
+// in-memory state, and compacts when the tail has grown past CompactEvery
+// records. The record is durable when append returns.
+func (j *Journal) append(rec journalRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encode journal record: %w", err)
-	}
-	if len(payload) > maxJournalRecord {
-		return nil, fmt.Errorf("cluster: journal record of %d bytes exceeds frame limit", len(payload))
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	return frame, nil
-}
-
-// append frames, writes and (unless NoSync) fsyncs one record, folds it
-// into the in-memory state, and compacts when the tail has grown past
-// CompactEvery records. The record is durable when append returns.
-func (j *Journal) append(rec journalRecord) error {
-	frame, err := frameRecord(rec)
-	if err != nil {
-		return err
+		return fmt.Errorf("cluster: encode journal record: %w", err)
 	}
 
 	j.mu.Lock()
@@ -347,17 +290,15 @@ func (j *Journal) append(rec journalRecord) error {
 	if j.closed {
 		return errors.New("cluster: journal closed")
 	}
-	if _, err := j.tail.Write(frame); err != nil {
-		return fmt.Errorf("cluster: journal write: %w", err)
+	written, err := j.tail.Append(payload)
+	if err != nil {
+		return fmt.Errorf("cluster: journal append: %w", err)
 	}
 	if !j.cfg.NoSync {
-		if err := j.tail.Sync(); err != nil {
-			return fmt.Errorf("cluster: journal fsync: %w", err)
-		}
 		j.metrics.fsynced()
 	}
 	j.fold(rec)
-	j.metrics.appended(len(frame))
+	j.metrics.appended(int(written.Size()))
 	j.appends++
 	if j.appends >= j.cfg.CompactEvery {
 		if err := j.compactLocked(); err != nil {
@@ -376,13 +317,7 @@ func (j *Journal) append(rec journalRecord) error {
 // crash anywhere in between at worst replays the old tail on top of the
 // new snapshot.
 func (j *Journal) compactLocked() error {
-	snapPath := filepath.Join(j.cfg.Dir, journalSnapshotName)
-	tmpPath := snapPath + ".tmp"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmpPath)
+	var snap []byte
 	for _, job := range j.liveJobsLocked() {
 		records := []journalRecord{job.submit}
 		starts := make([]uint64, 0, len(job.chunks))
@@ -397,39 +332,22 @@ func (j *Journal) compactLocked() error {
 			records = append(records, journalRecord{Type: recFinish, Job: job.id, Error: job.finishErr})
 		}
 		for _, rec := range records {
-			frame, err := frameRecord(rec)
+			payload, err := json.Marshal(rec)
 			if err != nil {
-				tmp.Close()
-				return err
+				return fmt.Errorf("cluster: encode journal record: %w", err)
 			}
-			if _, err := tmp.Write(frame); err != nil {
-				tmp.Close()
+			if snap, err = seglog.AppendFrame(snap, payload); err != nil {
 				return err
 			}
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err := seglog.WriteFileAtomic(filepath.Join(j.cfg.Dir, journalSnapshotName), snap, nil); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, snapPath); err != nil {
-		return err
-	}
-	syncDir(j.cfg.Dir)
-
 	// Reset the tail: everything it held is now in the snapshot.
-	tailPath := filepath.Join(j.cfg.Dir, journalTailName)
-	if err := j.tail.Close(); err != nil {
+	if err := j.tail.Reset(); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(tailPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: reset journal tail: %w", err)
-	}
-	j.tail = f
 	j.appends = 0
 	j.compactions++
 	j.lastCompact = time.Now()
@@ -512,18 +430,6 @@ func (j *Journal) Close() error {
 		return err
 	}
 	return j.tail.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed file durably appears in it.
-// Best-effort: some filesystems refuse directory fsync, and the rename is
-// already atomic.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }
 
 // journalMetrics holds the ahs_journal_* families; nil (no registry)

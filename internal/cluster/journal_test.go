@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"hash/crc32"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +13,31 @@ import (
 	"ahs/internal/config"
 	"ahs/internal/core"
 	"ahs/internal/mc"
+	"ahs/internal/seglog"
 )
+
+// frameRecord encodes one record as a journal frame.
+func frameRecord(rec journalRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return seglog.AppendFrame(nil, payload)
+}
+
+// scanJournal decodes journal bytes the way replay does, returning the
+// valid prefix length, the records kept, and the count of CRC-valid frames
+// dropped as undecodable or ill-formed.
+func scanJournal(data []byte) (valid int64, records []journalRecord, dropped int) {
+	valid, dropped = seglog.Scan(data, func(r seglog.Record) bool {
+		rec, ok := decodeJournalRecord(r.Payload)
+		if ok {
+			records = append(records, rec)
+		}
+		return ok
+	})
+	return valid, records, dropped
+}
 
 // journalFrames builds the framed journal bytes for a real, completed run
 // of sc: submit, one chunk record per shard (simulated for real, so the
@@ -237,6 +261,54 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterShortWrite: a write that failed half-way (a
+// full disk) leaves a partial frame behind the last good record, and the
+// coordinator carries on appending. The next record must land on the
+// valid prefix, not behind the tear, or replay stops at the tear and
+// loses every record acknowledged after it.
+func TestJournalAppendAfterShortWrite(t *testing.T) {
+	dir := t.TempDir()
+	sc := testScenario(1000).Canonical()
+	hash, _ := sc.Hash()
+	j, err := OpenJournal(JournalConfig{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.append(journalRecord{Type: recSubmit, Job: 1, Scenario: sc, Hash: hash, RoundSize: 500, ChunkBatches: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// What a short write of the finish frame leaves: its first 6 bytes.
+	finish := journalRecord{Type: recFinish, Job: 1}
+	frame, err := frameRecord(finish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journalTailName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame[:6]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := j.append(finish); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(JournalConfig{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	jobs := j2.recoveredJobs()
+	if len(jobs) != 1 || !jobs[0].finished {
+		t.Fatalf("recovered %d jobs (finished=%v), want job 1 finished", len(jobs), len(jobs) == 1 && jobs[0].finished)
+	}
+}
+
 // TestJournalCorruptFrameCutsReplay: a bit flip inside a frame's payload
 // fails its CRC; replay stops at the previous record (frame boundaries
 // after the corruption cannot be trusted).
@@ -268,10 +340,7 @@ func TestJournalCorruptFrameCutsReplay(t *testing.T) {
 // without cutting the records after it — the framing is still intact.
 func TestJournalMalformedRecordSkipped(t *testing.T) {
 	frame := func(payload []byte) []byte {
-		f := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(f[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(f[4:8], crc32.Checksum(payload, crcTable))
-		copy(f[8:], payload)
+		f, _ := seglog.AppendFrame(nil, payload)
 		return f
 	}
 	good, err := frameRecord(journalRecord{Type: recFinish, Job: 3})

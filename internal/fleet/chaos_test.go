@@ -238,6 +238,26 @@ func TestFleetChaosSchedules(t *testing.T) {
 			go writer.run(ctx, t, &wg)
 			go survivor.run(ctx, t, &wg)
 
+			// The writer alone takes the first scenarios, one at a time,
+			// so it reaches every armed hit (at most 8) whatever the
+			// interleaving below: each scenario costs it one claim and
+			// one release on claims.post-append and one put.pre-sync.
+			// Left to race, the survivor can win nearly every claim and
+			// the claims-site kill never fires.
+			const writerFirst = 4
+			for _, raw := range scenarios[:writerFirst] {
+				var sc chaosScenario
+				json.Unmarshal(raw, &sc)
+				writer.queue <- raw
+				deadline := time.Now().Add(5 * time.Second)
+				for !writer.dead.Load() && !writer.store.Has(sc.Name) {
+					if time.Now().After(deadline) {
+						t.Fatalf("seed %#x: writer never stored %s", seed, sc.Name)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+
 			// Clients submit through both instances, interleaved — the
 			// claims table is the only thing preventing double work. The
 			// writer periodically compacts, giving the mid-compaction

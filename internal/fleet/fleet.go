@@ -293,6 +293,9 @@ func (n *Node) Health() map[string]any {
 // TryClaim claims hash for this node, recording scenario for adoption.
 // acquired=false with a non-empty holderURL means a live peer owns it —
 // the caller should redirect the submitter there instead of evaluating.
+// acquired=false with an empty holderURL means a peer owns it without
+// advertising a URL, or the result is already stored: the caller should
+// look in the store before asking the submitter to retry.
 func (n *Node) TryClaim(hash string, scenario []byte) (acquired bool, holderURL string, err error) {
 	n.mu.Lock()
 	epoch := n.epoch
@@ -304,6 +307,16 @@ func (n *Node) TryClaim(hash string, scenario []byte) (acquired bool, holderURL 
 	}
 	if err != nil {
 		return false, "", err
+	}
+	// The caller's store lookup came before the claim, and a peer may
+	// have persisted and released in between. Results are persisted
+	// before their claim is released, so once the claim is won this check
+	// is final: a miss here means nobody finished the work.
+	if n.cfg.Store.Has(hash) {
+		if err := n.claims.Release(hash); err != nil {
+			n.cfg.Logf("fleet: release of already-stored %s failed: %v", hash, err)
+		}
+		return false, "", nil
 	}
 	n.metrics.claims.Inc()
 	if stole {

@@ -115,6 +115,37 @@ func TestWriterRoleAndEpochAtBirth(t *testing.T) {
 	}
 }
 
+// TestClaimAfterPeerFinished: B misses the store, then A claims,
+// persists and releases before B claims. B wins the freed claim, but
+// the work is done, so TryClaim must not hand B an evaluation — nor
+// leave B holding a claim.
+func TestClaimAfterPeerFinished(t *testing.T) {
+	dir := t.TempDir()
+	a := newMember(t, dir, "node-a", false, nil)
+	b := newMember(t, dir, "node-b", true, nil)
+	scenario := []byte(`{"name":"s"}`)
+
+	if b.store.Has("hash-1") {
+		t.Fatal("B found hash-1 in the store before anyone evaluated it")
+	}
+	if acquired, _, err := a.node.TryClaim("hash-1", scenario); !acquired || err != nil {
+		t.Fatalf("A TryClaim = %v, %v", acquired, err)
+	}
+	if err := a.node.PutResult("hash-1", docJSON(t, 1)); err != nil {
+		t.Fatalf("A PutResult: %v", err)
+	}
+	acquired, holder, err := b.node.TryClaim("hash-1", scenario)
+	if err != nil || acquired || holder != "" {
+		t.Fatalf("B TryClaim after A stored the result = %v, %q, %v; want not acquired, no holder", acquired, holder, err)
+	}
+	if _, held, err := b.node.claims.Get("hash-1"); err != nil || held {
+		t.Fatalf("claim on hash-1 still held after TryClaim found it stored (err %v)", err)
+	}
+	if got := b.node.Health()["claims"]; got != 0 {
+		t.Fatalf("B tracks %v owned claims, want 0", got)
+	}
+}
+
 // TestClaimRedirect: the second claimant is pointed at the first's URL.
 func TestClaimRedirect(t *testing.T) {
 	dir := t.TempDir()
@@ -175,8 +206,9 @@ func TestFollowerPutForwarding(t *testing.T) {
 	if w.node.metrics.ingested.Value() != 1 || f.node.metrics.forwarded.Value() != 1 {
 		t.Error("forward/ingest not counted")
 	}
-	// Claim released after the persist.
-	if acquired, _, _ := w.node.TryClaim("hash-7", nil); !acquired {
+	// Claim released after the persist. (Probed on the claims table:
+	// TryClaim declines a scenario whose result is already stored.)
+	if _, held, err := w.node.claims.Get("hash-7"); err != nil || held {
 		t.Error("claim still held after successful put")
 	}
 }

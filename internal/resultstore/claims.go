@@ -1,15 +1,15 @@
 package resultstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"ahs/internal/seglog"
 )
 
 // The claims region of a store directory fences duplicate evaluation
@@ -28,13 +28,13 @@ import (
 //	epoch         the persisted fencing epoch, advanced on writer promotion
 //	writer.json   the current writer's heartbeat (owner, URL, epoch, expiry)
 //
-// claims.seg shares results.seg's frame discipline (uint32-LE length |
-// uint32-LE CRC-32C | JSON payload) but not its single-writer rule: every
-// fleet member appends claims. Mutual exclusion is per operation — take
-// the flock on claims.lock, reconcile the in-memory index with the file
-// (including truncating a torn tail a crashed appender left), append, and
-// release. flock dies with the process, so a member crashing inside an
-// operation can never wedge the region.
+// claims.seg is an internal/seglog log like results.seg, but without its
+// single-writer rule: every fleet member appends claims. Mutual exclusion
+// is per operation — take the flock on claims.lock, reconcile the
+// in-memory index with the file (including truncating a torn tail a
+// crashed appender left), append, and release. flock dies with the
+// process, so a member crashing inside an operation can never wedge the
+// region.
 //
 // The epoch file is the fencing authority: it only ever increases, and it
 // only changes under the results-segment writer flock (at startup and at
@@ -122,13 +122,12 @@ type ClaimsConfig struct {
 type Claims struct {
 	cfg ClaimsConfig
 
-	mu      sync.Mutex
-	seg     *os.File
-	index   map[string]ClaimState
-	scanned int64
-	live    int
-	dead    int // superseded/released record count since last compaction
-	closed  bool
+	mu     sync.Mutex
+	seg    *seglog.Log
+	index  map[string]ClaimState
+	live   int
+	dead   int // superseded/released record count since last compaction
+	closed bool
 }
 
 // OpenClaims opens (creating if needed) the claims region of dir. Unlike
@@ -150,50 +149,23 @@ func OpenClaims(cfg ClaimsConfig) (*Claims, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: claims dir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(cfg.Dir, claimsSegName), os.O_CREATE|os.O_RDWR, 0o644)
+	c := &Claims{cfg: cfg, index: make(map[string]ClaimState)}
+	seg, err := seglog.Open(filepath.Join(cfg.Dir, claimsSegName), cfg.NoSync, c.fire)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: open claims segment: %w", err)
 	}
-	c := &Claims{cfg: cfg, seg: f, index: make(map[string]ClaimState)}
+	c.seg = seg
 	return c, nil
 }
 
-// ScannedClaim is one valid frame found by ScanClaims.
-type ScannedClaim struct {
-	Record claimRecord
-	Off    int64
-	Size   int64
-}
-
-// ScanClaims walks framed claim records, returning the valid prefix
-// length, the decoded records in order, and the count of CRC-valid but
-// undecodable frames skipped. Scanning stops at the first torn or
-// CRC-invalid frame. Exported for the fuzz target.
-func ScanClaims(data []byte) (valid int64, records []ScannedClaim, skipped int) {
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return off, records, skipped
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxRecord || int64(n) > int64(len(rest)-8) {
-			return off, records, skipped
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, records, skipped
-		}
-		var rec claimRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || rec.Owner == "" || rec.Op == "" {
-			skipped++
-		} else {
-			records = append(records, ScannedClaim{Record: rec, Off: off, Size: 8 + int64(n)})
-		}
-		off += 8 + int64(n)
-		valid = off
+// decodeClaim decodes one claims.seg payload, rejecting records missing
+// the fields every operation carries.
+func decodeClaim(payload []byte) (claimRecord, bool) {
+	var rec claimRecord
+	if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || rec.Owner == "" || rec.Op == "" {
+		return claimRecord{}, false
 	}
+	return rec, true
 }
 
 // withLock runs fn with the cross-process claims flock held and the
@@ -221,45 +193,29 @@ func (c *Claims) withLock(fn func() error) error {
 // reconcileLocked brings the index up to date with the segment file; the
 // claims flock and c.mu must be held.
 func (c *Claims) reconcileLocked() error {
-	segPath := filepath.Join(c.cfg.Dir, claimsSegName)
-	replaced, err := fileReplaced(c.seg, segPath)
+	replaced, err := c.seg.Reopen()
 	if err != nil {
-		return err
+		return fmt.Errorf("resultstore: claims: %w", err)
 	}
 	if replaced {
-		f, err := os.OpenFile(segPath, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("resultstore: reopen claims segment: %w", err)
-		}
-		c.seg.Close()
-		c.seg = f
 		c.index = make(map[string]ClaimState)
-		c.scanned, c.live, c.dead = 0, 0, 0
+		c.live, c.dead = 0, 0
 	}
-	size, err := c.seg.Seek(0, 2)
+	// A torn tail is a peer that crashed mid-append: cut it so our append
+	// never lands after garbage. We hold the flock, so no live peer is
+	// mid-write.
+	_, cut, err := c.seg.ScanTail(func(r seglog.Record) bool {
+		rec, ok := decodeClaim(r.Payload)
+		if ok {
+			c.applyLocked(rec)
+		}
+		return ok
+	})
 	if err != nil {
-		return fmt.Errorf("resultstore: seek claims segment: %w", err)
+		return fmt.Errorf("resultstore: claims: %w", err)
 	}
-	if size > c.scanned {
-		data := make([]byte, size-c.scanned)
-		if _, err := c.seg.ReadAt(data, c.scanned); err != nil {
-			return fmt.Errorf("resultstore: read claims segment: %w", err)
-		}
-		valid, recs, _ := ScanClaims(data)
-		for _, r := range recs {
-			c.applyLocked(r.Record)
-		}
-		c.scanned += valid
-		if c.scanned < size {
-			// A peer crashed mid-append: cut its torn frame so our append
-			// never lands after garbage. We hold the flock, so no live
-			// peer is mid-write.
-			cut := size - c.scanned
-			c.cfg.Logf("resultstore: claims: dropping %d torn trailing bytes", cut)
-			if err := c.seg.Truncate(c.scanned); err != nil {
-				return fmt.Errorf("resultstore: truncate claims segment: %w", err)
-			}
-		}
+	if cut > 0 {
+		c.cfg.Logf("resultstore: claims: dropping %d torn trailing bytes", cut)
 	}
 	return nil
 }
@@ -308,23 +264,11 @@ func (c *Claims) appendLocked(rec claimRecord) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encode claim: %w", err)
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	c.hook("claims.pre-append")
-	if _, err := c.seg.WriteAt(frame, c.scanned); err != nil {
+	if _, err := c.seg.Append(payload); err != nil {
 		return fmt.Errorf("resultstore: claims append: %w", err)
 	}
-	c.hook("claims.pre-sync")
-	if !c.cfg.NoSync {
-		if err := c.seg.Sync(); err != nil {
-			return fmt.Errorf("resultstore: claims fsync: %w", err)
-		}
-	}
-	c.scanned += int64(len(frame))
 	c.applyLocked(rec)
-	c.hook("claims.post-append")
+	c.fire("post-append")
 	if c.dead > c.cfg.CompactMinRecords && c.dead > c.live {
 		if err := c.compactLocked(); err != nil {
 			c.cfg.Logf("resultstore: claims compaction failed: %v", err)
@@ -459,16 +403,9 @@ func (c *Claims) Len() int {
 // flock, dropping released and superseded records. Peers detect the
 // rename through fileReplaced on their next operation.
 func (c *Claims) compactLocked() error {
-	segPath := filepath.Join(c.cfg.Dir, claimsSegName)
-	tmpPath := segPath + ".tmp"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmpPath)
-	var off int64
+	var data []byte
 	for _, st := range c.index {
-		rec := claimRecord{
+		payload, err := json.Marshal(claimRecord{
 			Key:      st.Key,
 			Owner:    st.Owner,
 			URL:      st.URL,
@@ -476,43 +413,18 @@ func (c *Claims) compactLocked() error {
 			Op:       opClaim,
 			Expires:  st.Expires.UnixNano(),
 			Scenario: st.Scenario,
-		}
-		payload, err := json.Marshal(rec)
+		})
 		if err != nil {
-			tmp.Close()
 			return err
 		}
-		frame := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-		copy(frame[8:], payload)
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
+		if data, err = seglog.AppendFrame(data, payload); err != nil {
 			return err
 		}
-		off += int64(len(frame))
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err := c.seg.Replace(data); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	c.hook("claims.compact.pre-rename")
-	if err := os.Rename(tmpPath, segPath); err != nil {
-		return err
-	}
-	syncDir(c.cfg.Dir)
-	f, err := os.OpenFile(segPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: reopen compacted claims segment: %w", err)
-	}
-	c.seg.Close()
-	c.seg = f
-	// Rebuild state from the rewrite: the index is unchanged, only
-	// geometry moved.
-	c.scanned = off
+	// The index is unchanged; only the geometry moved.
 	c.live = len(c.index)
 	c.dead = 0
 	c.cfg.Logf("resultstore: compacted claims on %s to %d live claims", c.cfg.Dir, c.live)
@@ -544,9 +456,19 @@ func (c *Claims) Abandon() {
 	c.seg.Close()
 }
 
-// hook fires the configured fault-site hook, if any.
-func (c *Claims) hook(site string) {
-	if c.cfg.Hook != nil {
+// claimsSites names the stages at which ClaimsConfig.Hook fires: the
+// seglog stages of an append and a compaction, and "post-append", fired
+// by appendLocked once the record is applied.
+var claimsSites = map[string]string{
+	"pre-append":  "claims.pre-append",
+	"pre-sync":    "claims.pre-sync",
+	"post-append": "claims.post-append",
+	"pre-rename":  "claims.compact.pre-rename",
+}
+
+// fire forwards a stage to the configured fault-site hook, if any.
+func (c *Claims) fire(stage string) {
+	if site, ok := claimsSites[stage]; ok && c.cfg.Hook != nil {
 		c.cfg.Hook(site)
 	}
 }
@@ -590,7 +512,7 @@ func AdvanceEpoch(dir, owner string) (uint64, error) {
 	}
 	next := cur + 1
 	doc := epochDoc{Epoch: next, Owner: owner, Advanced: time.Now().UTC().Format(time.RFC3339Nano)}
-	if err := writeFileAtomic(dir, epochName, doc); err != nil {
+	if err := writeJSONAtomic(dir, epochName, doc); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -615,7 +537,7 @@ func (w WriterInfo) Expired(now time.Time) bool {
 
 // WriteWriterInfo atomically rewrites dir's writer heartbeat.
 func WriteWriterInfo(dir string, info WriterInfo) error {
-	return writeFileAtomic(dir, writerInfoName, info)
+	return writeJSONAtomic(dir, writerInfoName, info)
 }
 
 // ReadWriterInfo reads dir's writer heartbeat; ok is false when no writer
@@ -635,32 +557,11 @@ func ReadWriterInfo(dir string) (WriterInfo, bool, error) {
 	return info, true, nil
 }
 
-// writeFileAtomic writes v as JSON to dir/name via tmp + fsync + rename.
-func writeFileAtomic(dir, name string, v any) error {
+// writeJSONAtomic atomically replaces dir/name with v encoded as JSON.
+func writeJSONAtomic(dir, name string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpPath := tmp.Name()
-	defer os.Remove(tmpPath)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
+	return seglog.WriteFileAtomic(filepath.Join(dir, name), data, nil)
 }

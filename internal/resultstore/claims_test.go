@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"ahs/internal/seglog"
 )
 
 func openClaims(t *testing.T, dir, owner string, cfg ClaimsConfig) *Claims {
@@ -25,6 +27,20 @@ func openClaims(t *testing.T, dir, owner string, cfg ClaimsConfig) *Claims {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// scanClaims decodes claims.seg bytes the way reconciliation does,
+// returning the valid prefix length, the records kept, and the count of
+// CRC-valid frames skipped as undecodable.
+func scanClaims(data []byte) (valid int64, records []claimRecord, skipped int) {
+	valid, skipped = seglog.Scan(data, func(r seglog.Record) bool {
+		rec, ok := decodeClaim(r.Payload)
+		if ok {
+			records = append(records, rec)
+		}
+		return ok
+	})
+	return valid, records, skipped
 }
 
 const testTTL = time.Minute
@@ -183,7 +199,7 @@ func TestClaimsTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, recs, skipped := ScanClaims(data)
+	valid, recs, skipped := scanClaims(data)
 	if valid != int64(len(data)) || skipped != 0 {
 		t.Errorf("segment still torn after repair: valid %d of %d bytes, %d skipped", valid, len(data), skipped)
 	}
@@ -432,7 +448,7 @@ func TestPromoteAdoptsDirtyDir(t *testing.T) {
 	}
 	torn := make([]byte, 10)
 	binary.LittleEndian.PutUint32(torn[0:4], 500)
-	binary.LittleEndian.PutUint32(torn[4:8], crc32.Checksum([]byte("x"), crcTable))
+	binary.LittleEndian.PutUint32(torn[4:8], crc32.Checksum([]byte("x"), crc32.MakeTable(crc32.Castagnoli)))
 	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,66 @@
 package resultstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"testing"
+
+	"ahs/internal/seglog"
 )
+
+// fuzzFrame frames payload the way every segment append does.
+func fuzzFrame(f *testing.F, payload string) []byte {
+	f.Helper()
+	b, err := seglog.AppendFrame(nil, []byte(payload))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
+}
+
+// scannedRecord is one record the store's scan would index: its frame
+// span and the span of its value bytes, both as offsets into the segment.
+type scannedRecord struct {
+	Key                string
+	Off, Size          int64
+	ValueOff, ValueLen int64
+}
+
+// scanSegment decodes results.seg bytes the way the store's scan does,
+// returning the valid prefix length, the records indexed, and the count
+// of CRC-valid frames skipped as undecodable.
+func scanSegment(data []byte) (valid int64, records []scannedRecord, skipped int) {
+	valid, skipped = seglog.Scan(data, func(r seglog.Record) bool {
+		key, vOff, vLen, ok := decodeSegRecord(r.Payload)
+		if ok {
+			records = append(records, scannedRecord{
+				Key: key, Off: r.Off, Size: r.Size(),
+				ValueOff: r.Off + seglog.HeaderSize + vOff, ValueLen: vLen,
+			})
+		}
+		return ok
+	})
+	return valid, records, skipped
+}
+
+// scannedClaim is one record reconciliation would apply, with its frame
+// span in the segment.
+type scannedClaim struct {
+	Record    claimRecord
+	Off, Size int64
+}
+
+// scanClaimFrames decodes claims.seg bytes the way reconciliation does,
+// keeping each applied record's frame span.
+func scanClaimFrames(data []byte) (valid int64, records []scannedClaim, skipped int) {
+	valid, skipped = seglog.Scan(data, func(r seglog.Record) bool {
+		rec, ok := decodeClaim(r.Payload)
+		if ok {
+			records = append(records, scannedClaim{Record: rec, Off: r.Off, Size: r.Size()})
+		}
+		return ok
+	})
+	return valid, records, skipped
+}
 
 // FuzzStoreScan attacks the segment decoder with arbitrary bytes — the
 // store reads these back at startup from a file possibly torn, truncated
@@ -13,22 +68,17 @@ import (
 // the cluster journal's: malformed input is a cut or a skip, never a
 // panic, and the reported valid prefix is self-consistent — rescanning it
 // reproduces the identical outcome, which is what makes the writer's
-// startup truncation sound.
+// startup truncation sound. On top of internal/seglog's FuzzScan, this
+// checks the record decoder: every indexed value span is the exact JSON
+// value Get would return.
 //
 // CI runs this in regression mode (f.Add seeds + testdata/fuzz entries);
 // `make fuzz` explores with the mutation engine.
 func FuzzStoreScan(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		b := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, crcTable))
-		copy(b[8:], payload)
-		return b
-	}
-	good := frame([]byte(`{"key":"hash-1","value":{"name":"r","unsafety":[1e-13]}}`))
-	second := frame([]byte(`{"key":"hash-2","value":[1,2.5,3]}`))
-	undecodable := frame([]byte(`"crc fine, not a record"`))
-	emptyKey := frame([]byte(`{"key":"","value":1}`))
+	good := fuzzFrame(f, `{"key":"hash-1","value":{"name":"r","unsafety":[1e-13]}}`)
+	second := fuzzFrame(f, `{"key":"hash-2","value":[1,2.5,3]}`)
+	undecodable := fuzzFrame(f, `"crc fine, not a record"`)
+	emptyKey := fuzzFrame(f, `{"key":"","value":1}`)
 
 	f.Add([]byte{})
 	f.Add(good)
@@ -42,18 +92,17 @@ func FuzzStoreScan(f *testing.F) {
 	huge := make([]byte, 16)
 	huge[3] = 0xFF // declared length far beyond the buffer
 	f.Add(huge)
-	zero := frame(nil) // zero-length payload
-	f.Add(zero)
+	f.Add(fuzzFrame(f, "")) // zero-length payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		valid, records, skipped := ScanSegment(data)
+		valid, records, skipped := scanSegment(data)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
 		}
 		if skipped < 0 {
 			t.Fatalf("negative skip count %d", skipped)
 		}
-		v2, r2, s2 := ScanSegment(data[:valid])
+		v2, r2, s2 := scanSegment(data[:valid])
 		if v2 != valid || len(r2) != len(records) || s2 != skipped {
 			t.Fatalf("rescan of valid prefix diverged: (%d,%d,%d) vs (%d,%d,%d)",
 				v2, len(r2), s2, valid, len(records), skipped)
@@ -65,7 +114,7 @@ func FuzzStoreScan(f *testing.F) {
 			if rec.Off < 0 || rec.Off+rec.Size > valid {
 				t.Fatalf("record %d frame [%d,%d) outside valid prefix %d", i, rec.Off, rec.Off+rec.Size, valid)
 			}
-			if rec.ValueOff < rec.Off+8 || rec.ValueOff+rec.ValueLen > rec.Off+rec.Size {
+			if rec.ValueOff < rec.Off+seglog.HeaderSize || rec.ValueOff+rec.ValueLen > rec.Off+rec.Size {
 				t.Fatalf("record %d value [%d,%d) outside its payload", i, rec.ValueOff, rec.ValueOff+rec.ValueLen)
 			}
 			// The located value bytes must be exactly the decodable JSON
@@ -80,23 +129,16 @@ func FuzzStoreScan(f *testing.F) {
 
 // FuzzClaimsScan attacks the claims-segment decoder the same way: every
 // fleet member appends here under a short flock, and any of them can die
-// mid-write, so ScanClaims must treat arbitrary trailing bytes as a cut
-// or a skip, never a panic — and the valid prefix it reports is what the
-// next appender truncates to, so rescanning that prefix must reproduce
-// the identical outcome.
+// mid-write, so reconciliation must treat arbitrary trailing bytes as a
+// cut or a skip, never a panic — and the valid prefix it reports is what
+// the next appender truncates to, so rescanning that prefix must
+// reproduce the identical outcome.
 func FuzzClaimsScan(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		b := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, crcTable))
-		copy(b[8:], payload)
-		return b
-	}
-	claim := frame([]byte(`{"key":"hash-1","owner":"node-a","url":"http://a","epoch":1,"op":"claim","expires":1754600000000000000,"scenario":{"name":"s"}}`))
-	renew := frame([]byte(`{"key":"hash-1","owner":"node-a","epoch":1,"op":"renew","expires":1754600001000000000}`))
-	release := frame([]byte(`{"key":"hash-1","owner":"node-a","op":"release","expires":1754600002000000000}`))
-	undecodable := frame([]byte(`[1,2,3]`))
-	missingOwner := frame([]byte(`{"key":"hash-1","op":"claim"}`))
+	claim := fuzzFrame(f, `{"key":"hash-1","owner":"node-a","url":"http://a","epoch":1,"op":"claim","expires":1754600000000000000,"scenario":{"name":"s"}}`)
+	renew := fuzzFrame(f, `{"key":"hash-1","owner":"node-a","epoch":1,"op":"renew","expires":1754600001000000000}`)
+	release := fuzzFrame(f, `{"key":"hash-1","owner":"node-a","op":"release","expires":1754600002000000000}`)
+	undecodable := fuzzFrame(f, `[1,2,3]`)
+	missingOwner := fuzzFrame(f, `{"key":"hash-1","op":"claim"}`)
 
 	f.Add([]byte{})
 	f.Add(claim)
@@ -112,14 +154,14 @@ func FuzzClaimsScan(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		valid, records, skipped := ScanClaims(data)
+		valid, records, skipped := scanClaimFrames(data)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
 		}
 		if skipped < 0 {
 			t.Fatalf("negative skip count %d", skipped)
 		}
-		v2, r2, s2 := ScanClaims(data[:valid])
+		v2, r2, s2 := scanClaimFrames(data[:valid])
 		if v2 != valid || len(r2) != len(records) || s2 != skipped {
 			t.Fatalf("rescan of valid prefix diverged: (%d,%d,%d) vs (%d,%d,%d)",
 				v2, len(r2), s2, valid, len(records), skipped)

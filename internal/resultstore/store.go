@@ -16,23 +16,15 @@
 //	results.seg   append-only segment of framed records
 //	LOCK          flock'd by the single writer; absent/ignored for readers
 //
-// The segment is a sequence of frames sharing the cluster journal's
-// discipline:
-//
-//	uint32-LE payload length | uint32-LE CRC-32C of payload | payload
-//
-// The payload is one JSON record {key, value}. A torn write (partial frame
-// at the tail) or a CRC-invalid frame cuts the scan at the last valid
-// frame; the writer truncates the tail there on open, so appends never
-// follow garbage. A CRC-valid frame that fails to decode is skipped and
-// counted — the framing past it is still intact.
+// The segment is an internal/seglog log (frame format and crash-safety
+// argument there) whose payloads are JSON records {key, value}. The
+// writer cuts a torn or corrupt tail at open, so appends never follow
+// garbage; a CRC-valid frame that fails to decode is skipped and counted.
 //
 // A re-Put of an existing key appends a superseding record; the in-memory
 // index always points at the newest. Superseded records are dead bytes,
-// reclaimed by compaction: live records are rewritten to a temporary
-// segment in ascending offset order, fsync'd, and atomically renamed over
-// the old one. A crash between those steps leaves either the old or the
-// new segment, both complete.
+// reclaimed by compaction, which atomically replaces the segment with the
+// live records in ascending insertion order.
 //
 // Exactly one writer may own a directory at a time, enforced with a
 // non-blocking flock on the LOCK file (released by the kernel on any
@@ -44,17 +36,16 @@ package resultstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"ahs/internal/seglog"
 	"ahs/internal/telemetry"
 )
 
@@ -63,14 +54,6 @@ const (
 	segmentName = "results.seg"
 	lockName    = "LOCK"
 )
-
-// maxRecord bounds one frame's payload. Curves are kilobytes; anything
-// near this bound is corruption, not data.
-const maxRecord = 64 << 20
-
-// crcTable is the Castagnoli polynomial table shared by all frames, the
-// same polynomial as the cluster journal.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Sentinel errors.
 var (
@@ -128,10 +111,23 @@ const defaultMaxStale = 2 * time.Second
 type recordLoc struct {
 	off   int64 // frame start offset
 	size  int64 // framed size (header + payload)
-	vOff  int64 // value offset within the payload, for direct reads
+	vOff  int64 // value span within the payload, for direct reads
 	vLen  int64
 	crc   uint32
 	order int // insertion order, preserved by compaction
+}
+
+// locate indexes a record at its frame: a supersede marks the old
+// record's bytes dead and keeps its slot in the insertion order.
+func (s *Store) locate(key string, r seglog.Record, vOff, vLen int64) {
+	loc := recordLoc{off: r.Off, size: r.Size(), vOff: vOff, vLen: vLen, crc: r.CRC, order: s.nextOrd}
+	if old, ok := s.index[key]; ok {
+		s.dead += old.size
+		loc.order = old.order
+	} else {
+		s.nextOrd++
+	}
+	s.index[key] = loc
 }
 
 // segRecord is the JSON payload of one frame.
@@ -147,11 +143,10 @@ type Store struct {
 	metrics *storeMetrics
 
 	mu       sync.Mutex
-	readOnly bool     // current role; flips on Promote
-	seg      *os.File // writer: O_APPEND handle; follower: read handle
-	lock     *os.File // held flock'd for the store's lifetime (writer only)
+	readOnly bool        // current role; flips on Promote
+	seg      *seglog.Log // nil until a follower finds the writer's segment
+	lock     *os.File    // held flock'd for the store's lifetime (writer only)
 	index    map[string]recordLoc
-	scanned  int64 // byte length of the scanned valid prefix
 	dead     int64 // bytes owned by superseded records
 	nextOrd  int
 	closed   bool
@@ -224,47 +219,14 @@ func Open(cfg Config) (*Store, error) {
 		s.lock = lock
 	}
 
-	segPath := filepath.Join(cfg.Dir, segmentName)
-	mode := os.O_RDONLY
-	if !cfg.ReadOnly {
-		mode = os.O_CREATE | os.O_RDWR
-	}
-	f, err := os.OpenFile(segPath, mode, 0o644)
-	if errors.Is(err, os.ErrNotExist) && cfg.ReadOnly {
-		// A follower may open before the writer's first Put; Refresh will
-		// find the segment later.
-		f = nil
-	} else if err != nil {
+	if err := s.openSegment(); err != nil {
 		s.release()
-		return nil, fmt.Errorf("resultstore: open segment: %w", err)
-	}
-	s.seg = f
-	if s.seg != nil {
-		if err := s.scanFrom(0); err != nil {
-			s.release()
-			return nil, err
-		}
-		if !cfg.ReadOnly {
-			size, err := s.seg.Seek(0, 2)
-			if err != nil {
-				s.release()
-				return nil, fmt.Errorf("resultstore: seek segment: %w", err)
-			}
-			if s.scanned < size {
-				cut := size - s.scanned
-				cfg.Logf("resultstore: %s: dropping %d torn/corrupt trailing bytes", segPath, cut)
-				if err := s.seg.Truncate(s.scanned); err != nil {
-					s.release()
-					return nil, fmt.Errorf("resultstore: truncate segment: %w", err)
-				}
-				s.truncated = cut
-			}
-		}
+		return nil, err
 	}
 	s.metrics = newStoreMetrics(cfg.Telemetry, s)
 	if len(s.index) > 0 || s.truncated > 0 {
 		cfg.Logf("resultstore: %s: %d results (%d segment bytes, %d dead), %d torn bytes cut",
-			cfg.Dir, len(s.index), s.scanned, s.dead, s.truncated)
+			cfg.Dir, len(s.index), s.size(), s.dead, s.truncated)
 	}
 	return s, nil
 }
@@ -279,107 +241,69 @@ func (s *Store) release() {
 	}
 }
 
-// scanFrom folds segment frames in [start, EOF) into the index; s.mu is
-// not required during Open but must be held once the store is shared.
-func (s *Store) scanFrom(start int64) error {
-	size, err := s.seg.Seek(0, 2)
+// openSegment opens the segment in the store's current role and indexes
+// it from the start, cutting a torn or corrupt tail when writing. A
+// follower may open before the writer's first Put; it then leaves seg nil
+// and refreshLocked looks again.
+func (s *Store) openSegment() error {
+	path := filepath.Join(s.cfg.Dir, segmentName)
+	var err error
+	if s.readOnly {
+		s.seg, err = seglog.OpenReader(path)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+	} else {
+		s.seg, err = seglog.Open(path, s.cfg.NoSync, s.fire)
+	}
 	if err != nil {
-		return fmt.Errorf("resultstore: seek segment: %w", err)
+		return fmt.Errorf("resultstore: open segment: %w", err)
 	}
-	if size <= start {
-		s.scanned = max64(s.scanned, start)
-		return nil
-	}
-	data := make([]byte, size-start)
-	if _, err := s.seg.ReadAt(data, start); err != nil {
-		return fmt.Errorf("resultstore: read segment: %w", err)
-	}
-	valid, recs, skipped := ScanSegment(data)
-	for _, r := range recs {
-		loc := recordLoc{
-			off:   start + r.Off,
-			size:  r.Size,
-			vOff:  r.ValueOff,
-			vLen:  r.ValueLen,
-			crc:   r.CRC,
-			order: s.nextOrd,
+	s.index = make(map[string]recordLoc)
+	s.dead, s.nextOrd = 0, 0
+	return s.scanLocked()
+}
+
+// scanLocked indexes the frames appended since the last scan; s.mu is not
+// required during Open but must be held once the store is shared.
+func (s *Store) scanLocked() error {
+	skipped, cut, err := s.seg.ScanTail(func(r seglog.Record) bool {
+		key, vOff, vLen, ok := decodeSegRecord(r.Payload)
+		if ok {
+			s.locate(key, r, vOff, vLen)
 		}
-		s.nextOrd++
-		if old, ok := s.index[r.Key]; ok {
-			s.dead += old.size
-			loc.order = old.order // a supersede keeps its slot in the order
-			s.nextOrd--
-		}
-		s.index[r.Key] = loc
+		return ok
+	})
+	if err != nil {
+		return fmt.Errorf("resultstore: scan segment: %w", err)
 	}
 	s.skipped += skipped
-	s.scanned = start + valid
+	if cut > 0 {
+		s.cfg.Logf("resultstore: %s: dropping %d torn/corrupt trailing bytes", s.cfg.Dir, cut)
+		s.truncated += cut
+	}
 	return nil
 }
 
-// ScannedRecord describes one valid frame found by ScanSegment, located
-// relative to the scanned buffer.
-type ScannedRecord struct {
-	Key      string
-	Off      int64 // frame start within the buffer
-	Size     int64 // framed size (8-byte header + payload)
-	ValueOff int64 // value start within the buffer
-	ValueLen int64
-	CRC      uint32
+// size is the length of the indexed segment prefix.
+func (s *Store) size() int64 {
+	if s.seg == nil {
+		return 0
+	}
+	return s.seg.Size()
 }
 
-// ScanSegment walks framed records from data, returning the byte length of
-// the valid prefix, the decoded record locations, and the count of frames
-// skipped for being CRC-valid but undecodable. Scanning stops at the first
-// torn or CRC-invalid frame: past it, frame boundaries are lost.
-func ScanSegment(data []byte) (valid int64, records []ScannedRecord, skipped int) {
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return off, records, skipped
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxRecord || int64(n) > int64(len(rest)-8) {
-			return off, records, skipped
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, records, skipped
-		}
-		var rec segRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || len(rec.Value) == 0 {
-			// CRC-valid but semantically broken: skip the frame, keep
-			// scanning — the framing past it is still intact.
-			skipped++
-		} else {
-			// Locate the raw value bytes inside the payload so Get can read
-			// them back without re-framing.
-			vStart := valueOffset(payload, rec.Value)
-			records = append(records, ScannedRecord{
-				Key:      rec.Key,
-				Off:      off,
-				Size:     8 + int64(n),
-				ValueOff: off + 8 + vStart,
-				ValueLen: int64(len(rec.Value)),
-				CRC:      sum,
-			})
-		}
-		off += 8 + int64(n)
-		valid = off
+// decodeSegRecord decodes one frame payload into its key and the span of
+// its raw value bytes within the payload. RawMessage captures the value
+// text verbatim, so a byte search always finds it; an earlier
+// byte-identical occurrence decodes to the same value, so any match is a
+// correct answer.
+func decodeSegRecord(payload []byte) (key string, vOff, vLen int64, ok bool) {
+	var rec segRecord
+	if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || len(rec.Value) == 0 {
+		return "", 0, 0, false
 	}
-}
-
-// valueOffset finds the offset of the raw value bytes within the payload.
-// RawMessage captures the value text verbatim, so a byte search always
-// finds it; an earlier byte-identical occurrence decodes to the same value,
-// so any match is a correct answer.
-func valueOffset(payload []byte, value json.RawMessage) int64 {
-	if i := bytes.Index(payload, value); i >= 0 {
-		return int64(i)
-	}
-	return 0
+	return rec.Key, int64(bytes.Index(payload, rec.Value)), int64(len(rec.Value)), true
 }
 
 // Put stores value under key, superseding any previous record. The record
@@ -398,14 +322,7 @@ func (s *Store) Put(key string, value any) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encode record: %w", err)
 	}
-	if len(payload) > maxRecord {
-		return fmt.Errorf("resultstore: record of %d bytes exceeds frame limit", len(payload))
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	crc := crc32.Checksum(payload, crcTable)
-	binary.LittleEndian.PutUint32(frame[4:8], crc)
-	copy(frame[8:], payload)
+	_, vOff, vLen, _ := decodeSegRecord(payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -415,41 +332,14 @@ func (s *Store) Put(key string, value any) error {
 	case s.readOnly:
 		return ErrReadOnly
 	}
-	off := s.scanned
-	if _, err := s.seg.WriteAt(frame, off); err != nil {
-		return fmt.Errorf("resultstore: segment write: %w", err)
+	written, err := s.seg.Append(payload)
+	if err != nil {
+		return fmt.Errorf("resultstore: segment append: %w", err)
 	}
-	s.hook("put.pre-sync")
-	if !s.cfg.NoSync {
-		if err := s.seg.Sync(); err != nil {
-			return fmt.Errorf("resultstore: segment fsync: %w", err)
-		}
-	}
-	s.hook("put.post-sync")
-	// Locate the raw value inside the payload just written, mirroring the
-	// scan, so Get and compaction see identical record geometry either way.
-	var rec segRecord
-	_ = json.Unmarshal(payload, &rec)
-	vStart := valueOffset(payload, rec.Value)
-	loc := recordLoc{
-		off:   off,
-		size:  int64(len(frame)),
-		vOff:  off + 8 + vStart,
-		vLen:  int64(len(rec.Value)),
-		crc:   crc,
-		order: s.nextOrd,
-	}
-	s.nextOrd++
-	if old, ok := s.index[key]; ok {
-		s.dead += old.size
-		loc.order = old.order
-		s.nextOrd--
-	}
-	s.index[key] = loc
-	s.scanned += int64(len(frame))
-	s.metrics.put(len(frame))
+	s.locate(key, written, vOff, vLen)
+	s.metrics.put(int(written.Size()))
 
-	if s.dead >= s.cfg.CompactMinDead && s.dead > s.scanned-s.dead {
+	if s.dead >= s.cfg.CompactMinDead && s.dead > s.size()-s.dead {
 		if err := s.compactLocked(); err != nil {
 			// A failed compaction loses nothing: the rename is atomic and
 			// the segment keeps growing. Log and carry on.
@@ -482,18 +372,11 @@ func (s *Store) Get(key string, value any) (bool, error) {
 		s.metrics.miss()
 		return false, nil
 	}
-	payload := make([]byte, loc.size-8)
-	if _, err := s.seg.ReadAt(payload, loc.off+8); err != nil {
-		return false, fmt.Errorf("resultstore: read record: %w", err)
+	payload, err := s.seg.Read(loc.off, loc.size, loc.crc)
+	if err != nil {
+		return false, fmt.Errorf("resultstore: record for %s: %w", key, err)
 	}
-	if crc32.Checksum(payload, crcTable) != loc.crc {
-		return false, fmt.Errorf("resultstore: record for %s failed CRC verification", key)
-	}
-	var rec segRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return false, fmt.Errorf("resultstore: decode record: %w", err)
-	}
-	if err := json.Unmarshal(rec.Value, value); err != nil {
+	if err := json.Unmarshal(payload[loc.vOff:loc.vOff+loc.vLen], value); err != nil {
 		return false, fmt.Errorf("resultstore: decode value: %w", err)
 	}
 	s.metrics.hit()
@@ -578,36 +461,19 @@ func (s *Store) Refresh() error {
 // refreshLocked is Refresh with s.mu held.
 func (s *Store) refreshLocked() error {
 	s.lastRefresh = time.Now()
-	segPath := filepath.Join(s.cfg.Dir, segmentName)
 	if s.seg == nil {
-		f, err := os.Open(segPath)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil // the writer has not created the segment yet
-		}
-		if err != nil {
-			return fmt.Errorf("resultstore: open segment: %w", err)
-		}
-		s.seg = f
-		return s.scanFrom(0)
+		return s.openSegment()
 	}
-	replaced, err := fileReplaced(s.seg, segPath)
+	replaced, err := s.seg.Reopen()
 	if err != nil {
-		return err
+		return fmt.Errorf("resultstore: refresh: %w", err)
 	}
 	if replaced {
-		// The writer compacted: the held handle points at the old segment.
-		// Reopen and rebuild the index from scratch.
-		f, err := os.Open(segPath)
-		if err != nil {
-			return fmt.Errorf("resultstore: reopen segment: %w", err)
-		}
-		s.seg.Close()
-		s.seg = f
+		// The writer compacted: rebuild the index from the new segment.
 		s.index = make(map[string]recordLoc)
-		s.scanned, s.dead, s.nextOrd = 0, 0, 0
-		return s.scanFrom(0)
+		s.dead, s.nextOrd = 0, 0
 	}
-	return s.scanFrom(s.scanned)
+	return s.scanLocked()
 }
 
 // Compact rewrites the segment keeping only the newest record per key.
@@ -630,14 +496,6 @@ func (s *Store) Compact() error {
 // one. Crash-safe: the rename is atomic and the new segment is durable
 // before the old one disappears.
 func (s *Store) compactLocked() error {
-	segPath := filepath.Join(s.cfg.Dir, segmentName)
-	tmpPath := segPath + ".tmp"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmpPath)
-
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
 		keys = append(keys, k)
@@ -645,60 +503,29 @@ func (s *Store) compactLocked() error {
 	sort.Slice(keys, func(a, b int) bool { return s.index[keys[a]].order < s.index[keys[b]].order })
 
 	newIndex := make(map[string]recordLoc, len(keys))
-	var off int64
+	var data []byte
 	for _, k := range keys {
 		loc := s.index[k]
-		frame := make([]byte, loc.size)
-		if _, err := s.seg.ReadAt(frame, loc.off); err != nil {
-			tmp.Close()
-			return fmt.Errorf("resultstore: compact read: %w", err)
+		payload, err := s.seg.Read(loc.off, loc.size, loc.crc)
+		if err != nil {
+			return fmt.Errorf("resultstore: compact: record for %s: %w", k, err)
 		}
-		if crc32.Checksum(frame[8:], crcTable) != loc.crc {
-			tmp.Close()
-			return fmt.Errorf("resultstore: compact: record for %s failed CRC verification", k)
+		moved := loc
+		moved.off = int64(len(data))
+		newIndex[k] = moved
+		if data, err = seglog.AppendFrame(data, payload); err != nil {
+			return err
 		}
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("resultstore: compact write: %w", err)
-		}
-		newIndex[k] = recordLoc{
-			off:   off,
-			size:  loc.size,
-			vOff:  off + (loc.vOff - loc.off),
-			vLen:  loc.vLen,
-			crc:   loc.crc,
-			order: loc.order,
-		}
-		off += loc.size
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err := s.seg.Replace(data); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	s.hook("compact.pre-rename")
-	if err := os.Rename(tmpPath, segPath); err != nil {
-		return err
-	}
-	s.hook("compact.post-rename")
-	syncDir(s.cfg.Dir)
-
-	// Swap the handle onto the new segment.
-	f, err := os.OpenFile(segPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: reopen compacted segment: %w", err)
-	}
-	s.seg.Close()
-	s.seg = f
 	s.index = newIndex
-	s.scanned = off
 	s.dead = 0
 	s.compactions++
 	s.lastCompact = time.Now()
 	s.metrics.compacted()
-	s.cfg.Logf("resultstore: compacted %s to %d results, %d bytes", s.cfg.Dir, len(newIndex), off)
+	s.cfg.Logf("resultstore: compacted %s to %d results, %d bytes", s.cfg.Dir, len(newIndex), len(data))
 	return nil
 }
 
@@ -710,7 +537,7 @@ func (s *Store) Stats() Stats {
 		Dir:            s.cfg.Dir,
 		ReadOnly:       s.readOnly,
 		Entries:        len(s.index),
-		SegmentBytes:   s.scanned,
+		SegmentBytes:   s.size(),
 		DeadBytes:      s.dead,
 		Compactions:    s.compactions,
 		TruncatedBytes: s.truncated,
@@ -768,43 +595,25 @@ func (s *Store) Promote() error {
 	if err != nil {
 		return err
 	}
-	segPath := filepath.Join(s.cfg.Dir, segmentName)
-	f, err := os.OpenFile(segPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		releaseLock(lock)
-		return fmt.Errorf("resultstore: promote: open segment: %w", err)
-	}
 	// Rebuild the index from the file we now own: the held follower handle
 	// may point at a pre-compaction inode, and the dead writer may have
-	// appended past our last scan.
+	// appended past our last scan and left a torn tail.
 	if s.seg != nil {
 		s.seg.Close()
 	}
-	s.seg = f
-	s.index = make(map[string]recordLoc)
-	s.scanned, s.dead, s.nextOrd = 0, 0, 0
-	if err := s.scanFrom(0); err != nil {
-		releaseLock(lock)
-		s.lock = nil
-		return err
-	}
-	size, err := s.seg.Seek(0, 2)
-	if err != nil {
-		releaseLock(lock)
-		return fmt.Errorf("resultstore: promote: seek segment: %w", err)
-	}
-	if s.scanned < size {
-		cut := size - s.scanned
-		s.cfg.Logf("resultstore: promote: dropping %d torn/corrupt trailing bytes left by the previous writer", cut)
-		if err := s.seg.Truncate(s.scanned); err != nil {
-			releaseLock(lock)
-			return fmt.Errorf("resultstore: promote: truncate segment: %w", err)
+	s.readOnly = false
+	if err := s.openSegment(); err != nil {
+		// Stay a follower whose segment is not open yet: the next refresh
+		// reopens and rescans it.
+		if s.seg != nil {
+			s.seg.Close()
 		}
-		s.truncated += cut
+		s.seg, s.readOnly = nil, true
+		releaseLock(lock)
+		return fmt.Errorf("resultstore: promote: %w", err)
 	}
 	s.lock = lock
-	s.readOnly = false
-	s.cfg.Logf("resultstore: promoted to writer on %s (%d results, %d segment bytes)", s.cfg.Dir, len(s.index), s.scanned)
+	s.cfg.Logf("resultstore: promoted to writer on %s (%d results, %d segment bytes)", s.cfg.Dir, len(s.index), s.size())
 	return nil
 }
 
@@ -853,29 +662,19 @@ func (s *Store) Close() error {
 	return err
 }
 
-// hook fires the configured fault-site hook, if any.
-func (s *Store) hook(site string) {
-	if s.cfg.Hook != nil {
+// storeSites names the seglog stages at which Config.Hook fires.
+var storeSites = map[string]string{
+	"pre-sync":    "put.pre-sync",
+	"post-sync":   "put.post-sync",
+	"pre-rename":  "compact.pre-rename",
+	"post-rename": "compact.post-rename",
+}
+
+// fire forwards a seglog stage to the configured fault-site hook, if any.
+func (s *Store) fire(stage string) {
+	if site, ok := storeSites[stage]; ok && s.cfg.Hook != nil {
 		s.cfg.Hook(site)
 	}
-}
-
-// syncDir fsyncs a directory so a just-renamed file durably appears in it.
-// Best-effort, as for the cluster journal.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // storeMetrics holds the ahs_store_* families; nil (no registry) disables
@@ -916,7 +715,7 @@ func newStoreMetrics(reg *telemetry.Registry, s *Store) *storeMetrics {
 	}, func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(s.scanned)
+		return float64(s.size())
 	})
 	reg.GaugeFunc(telemetry.Opts{
 		Name: "ahs_store_dead_bytes",

@@ -390,7 +390,7 @@ func TestSkippedUndecodableFrame(t *testing.T) {
 	payload := []byte(`"not a record"`)
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	copy(frame[8:], payload)
 	f, err := os.OpenFile(filepath.Join(dir, segmentName), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {

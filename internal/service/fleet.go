@@ -18,8 +18,8 @@ import (
 type FleetCoordinator interface {
 	// TryClaim records this instance's intent to evaluate the scenario
 	// (canonical JSON in scenario, carried for crash adoption). Not
-	// acquired means a live peer holds it; holderURL is that peer's
-	// advertised base URL when known.
+	// acquired means a live peer holds it, or has already stored its
+	// result; holderURL is that peer's advertised base URL when known.
 	TryClaim(hash string, scenario []byte) (acquired bool, holderURL string, err error)
 	// Release frees a claim without a result — the job failed, was
 	// cancelled, or never made it into the queue — so any peer may
@@ -53,27 +53,31 @@ func (e *PeerClaimedError) Error() string {
 // fleetClaimLocked runs the claim step of the submit path; m.mu must be
 // held (the flock inside TryClaim is short-lived — microseconds of file
 // I/O — which keeps claim-then-enqueue atomic against a racing submit
-// of the same hash on this instance). A claim-layer error fails open:
-// losing dedup costs a redundant evaluation, failing the submission
-// costs availability, and the store put still coalesces at persist
-// time.
-func (m *Manager) fleetClaimLocked(sc *config.Scenario, hash string) error {
+// of the same hash on this instance). A claim lost to a peer that has
+// meanwhile finished returns the stored result, to be served instead of
+// evaluated. A claim-layer error fails open: losing dedup costs a
+// redundant evaluation, failing the submission costs availability, and
+// the store put still coalesces at persist time.
+func (m *Manager) fleetClaimLocked(sc *config.Scenario, hash string) (*Result, error) {
 	if m.cfg.Fleet == nil {
-		return nil
+		return nil, nil
 	}
 	payload, err := json.Marshal(sc.Canonical())
 	if err != nil {
-		return fmt.Errorf("service: encoding scenario for fleet claim: %w", err)
+		return nil, fmt.Errorf("service: encoding scenario for fleet claim: %w", err)
 	}
 	acquired, holder, err := m.cfg.Fleet.TryClaim(hash, payload)
 	if err != nil {
 		m.logf("service: fleet claim for %s failed, evaluating locally: %v", hash, err)
-		return nil
+		return nil, nil
 	}
 	if !acquired {
-		return &PeerClaimedError{Hash: hash, URL: holder}
+		if res, ok := m.storeGet(hash); ok {
+			return res, nil
+		}
+		return nil, &PeerClaimedError{Hash: hash, URL: holder}
 	}
-	return nil
+	return nil, nil
 }
 
 // fleetRelease frees the claim on a job that ended without a result.

@@ -34,6 +34,7 @@ type fakeFleet struct {
 	mu       sync.Mutex
 	deny     bool   // TryClaim answers not-acquired
 	holder   string // ... naming this peer
+	onClaim  func() // runs inside TryClaim, before it answers
 	claimErr error
 	putErr   error
 	claims   map[string][]byte // hash -> claimed scenario payload
@@ -48,6 +49,9 @@ func newFakeFleet() *fakeFleet {
 func (f *fakeFleet) TryClaim(hash string, scenario []byte) (bool, string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.onClaim != nil {
+		f.onClaim()
+	}
 	if f.claimErr != nil {
 		return false, "", f.claimErr
 	}
@@ -237,6 +241,45 @@ func TestFleetClaimErrorFailsOpen(t *testing.T) {
 	final, err := m.Wait(waitCtx(t), view.ID)
 	if err != nil || final.Status != StatusDone {
 		t.Fatalf("job ended %v/%v, want done", final.Status, err)
+	}
+}
+
+// TestFleetClaimLostToStoredResult: a peer persists the scenario and
+// releases its claim between this instance's store lookup and its claim.
+// The claim answers not-acquired without a holder, and the submission is
+// served from the store instead of redirected or evaluated.
+func TestFleetClaimLostToStoredResult(t *testing.T) {
+	store := openStore(t, t.TempDir(), false)
+	sc := testScenario(1)
+	hash, _ := sc.Hash()
+	want, err := awkwardEval(context.Background(), sc, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := newFakeFleet()
+	ff.deny = true
+	ff.onClaim = func() {
+		if err := store.Put(hash, want); err != nil {
+			t.Error(err)
+		}
+	}
+	eval := newScriptedEval()
+	m := NewManager(Config{Workers: 1, Eval: eval.fn, Store: store, Fleet: ff, Logf: t.Logf})
+	defer m.Shutdown(waitCtx(t))
+
+	view, err := m.Submit(sc)
+	if err != nil {
+		t.Fatalf("Submit = %v, want the stored result", err)
+	}
+	if view.Status != StatusDone || !view.Cached {
+		t.Fatalf("job %+v, want born done from the store", view)
+	}
+	got, _, err := m.Result(view.ID)
+	if err != nil || resultBits(got) != resultBits(want) {
+		t.Fatalf("served %+v, %v; want the stored result bit-identically", got, err)
+	}
+	if n := eval.invoked.Load(); n != 0 {
+		t.Fatalf("evaluated %d times, want 0", n)
 	}
 }
 

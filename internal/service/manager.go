@@ -361,13 +361,18 @@ func (m *Manager) SubmitCtx(ctx context.Context, sc *config.Scenario) (JobView, 
 	// Every local tier missed: claim the scenario fleet-wide before it
 	// occupies a queue slot. A peer-held claim fails the submission with
 	// the holder's URL so the HTTP layer can redirect.
-	if err := m.fleetClaimLocked(sc, hash); err != nil {
+	res, err := m.fleetClaimLocked(sc, hash)
+	if err != nil {
 		var peer *PeerClaimedError
 		if errors.As(err, &peer) {
 			obs.AddEvent(ctx, "service.peer-claimed",
 				obs.String("scenario", hash), obs.String("peer", peer.URL))
 		}
 		return JobView{}, err
+	}
+	if res != nil {
+		m.cache.Put(hash, res)
+		return m.bornDoneLocked(ctx, sc, hash, tenant, "store", res), nil
 	}
 
 	j := m.newJobLocked(ctx, sc, hash)

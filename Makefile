@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build vet test race lint tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench bench-json profile figures figures-full docs clean
+.PHONY: all build vet test race simcheck lint tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench bench-json profile figures figures-full docs clean
 
 all: build lint test
 
@@ -22,6 +22,13 @@ test:
 # runs.
 race:
 	$(GO) test -race -short ./...
+
+# Cross-check incremental enabling: the simcheck build tag follows every
+# incremental scan with a full one (and every pick with rng.Choice) and
+# panics on any difference, under the exact-CTMC, determinism and
+# splitting suites.
+simcheck:
+	$(GO) test -tags simcheck ./internal/sim/ ./internal/core/ ./internal/mc/ ./internal/rare/ ./internal/ctmc/
 
 # Build the repo's own verification tools.
 tools:

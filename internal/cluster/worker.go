@@ -137,7 +137,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.deregister(hard)
 			return nil
 		}
-		lease, err := w.lease(ctx)
+		// The poll runs under the hard context: a drain that lands while
+		// the request is in flight must not abandon a lease the
+		// coordinator has already granted, or it is requeued as lost.
+		lease, err := w.lease(hard)
 		switch {
 		case err != nil:
 			var pe *permanentError

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ahs/internal/ctmc"
+	"ahs/internal/mc"
 	"ahs/internal/platoon"
 	"ahs/internal/rng"
 	"ahs/internal/san"
@@ -637,6 +638,93 @@ func BenchmarkTrajectoryDefaultParams(b *testing.B) {
 		if _, err := r.Run(src.Stream(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// paperISJob is the job the paper-curve benchmark workload evaluates: the
+// §4.1 defaults (DD, n=10, λ=1e-5/hr), S(t) at 2..10 h, failure forcing at
+// SuggestedFailureBias(10).
+func paperISJob(tb testing.TB) mc.Job {
+	tb.Helper()
+	a := MustBuild(DefaultParams())
+	job, err := a.UnsafetyJob(EvalOptions{
+		Times:       []float64{2, 4, 6, 8, 10},
+		Seed:        1,
+		FailureBias: a.SuggestedFailureBias(10),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return job
+}
+
+// BenchmarkTrajectoryPaperIS times one trajectory of the paper-curve job,
+// with its exact sim.Options and probe: forced failures make trajectories
+// longer and more eventful than BenchmarkTrajectoryDefaultParams' unbiased
+// ones.
+func BenchmarkTrajectoryPaperIS(b *testing.B) {
+	job := paperISJob(b)
+	r, err := sim.NewRunner(job.Model, job.Sim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe := &sim.Probe{Times: job.Times, Value: job.Value}
+	src := rng.NewSource(job.Seed)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(src.Stream(uint64(i)), probe); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func TestIncrementalEnablingBitIdenticalOnPaperModel(t *testing.T) {
+	// Incremental enabling reuses cached gates and rates; on the paper's
+	// forced model every trajectory must match re-evaluating every
+	// activity after every event, bit for bit.
+	job := paperISJob(t)
+	tracked, err := sim.NewRunner(job.Model, job.Sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := sim.NewRunner(job.Model, job.Sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.SetTracking(false)
+	pt := &sim.Probe{Times: job.Times, Value: job.Value}
+	pf := &sim.Probe{Times: job.Times, Value: job.Value}
+	src := rng.NewSource(job.Seed)
+	stopped := 0
+	for i := uint64(0); i < 500; i++ {
+		rt, err := tracked.Run(src.Stream(i), pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf, err := full.Run(src.Stream(i), pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Steps != rf.Steps || rt.InstantFirings != rf.InstantFirings ||
+			rt.Stopped != rf.Stopped || rt.Deadlocked != rf.Deadlocked ||
+			!sameBits(rt.End, rf.End) || !sameBits(rt.StopTime, rf.StopTime) ||
+			!sameBits(rt.StopWeight, rf.StopWeight) {
+			t.Fatalf("trajectory %d: tracked %+v, full scan %+v", i, rt, rf)
+		}
+		for j := range pt.Values {
+			if !sameBits(pt.Values[j], pf.Values[j]) || !sameBits(pt.Weights[j], pf.Weights[j]) {
+				t.Fatalf("trajectory %d, t=%v: tracked value %b weight %b, full scan %b %b",
+					i, job.Times[j], pt.Values[j], pt.Weights[j], pf.Values[j], pf.Weights[j])
+			}
+		}
+		if rt.Stopped {
+			stopped++
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no trajectory reached KO_total; the comparison never covered an absorbed run")
 	}
 }
 

@@ -32,8 +32,15 @@ type PlaceID int
 // ExtPlaceID identifies an extended place (ordered int array) within a Model.
 type ExtPlaceID int
 
-// Predicate decides whether an activity is enabled in a marking. Predicates
-// must not modify the marking.
+// Predicate decides whether an activity is enabled in a marking.
+//
+// Predicates, like RateFn and sim.FactorFn, must be pure functions of the
+// marking: read it only through Marking's accessors, capture no mutable
+// state, never write to the marking, and never write through the slice Ext
+// returns. sim.Runner relies on this to skip re-evaluating an activity
+// whose read places were not written since its last evaluation (see
+// Tracker); a function that breaks the contract can see its stale value
+// reused.
 type Predicate func(m *Marking) bool
 
 // Effect applies a marking change (an input- or output-gate function).
@@ -41,7 +48,8 @@ type Effect func(m *Marking)
 
 // RateFn returns the instantaneous firing rate of a timed activity in a
 // marking. It is only consulted while the activity is enabled and must
-// return a strictly positive, finite value there.
+// return a strictly positive, finite value there. It must be pure in the
+// sense of Predicate.
 type RateFn func(m *Marking) float64
 
 // WeightFn returns the (unnormalised) weight of a case in a marking.
@@ -196,8 +204,9 @@ func (m *Model) InitialMarking() *Marking {
 // write performed through a Marking's accessor methods. It is the
 // introspection hook behind static model analysis: internal/sanlint uses it
 // to discover which places each predicate, rate, weight and effect actually
-// touches, without parsing any code. Simulation leaves the observer nil,
-// which costs one predictable branch per access.
+// touches, without parsing any code. Simulation leaves the observer nil.
+// The observer is independent of the marking's Tracker: both see every
+// access.
 //
 // Observer callbacks must not mutate the marking.
 type AccessObserver interface {
@@ -215,6 +224,7 @@ type Marking struct {
 	tokens []int
 	ext    [][]int
 	obs    AccessObserver
+	trk    *Tracker
 }
 
 // Model returns the model this marking belongs to.
@@ -225,7 +235,20 @@ func (mk *Marking) Model() *Model { return mk.model }
 // derived markings too.
 func (mk *Marking) SetObserver(o AccessObserver) { mk.obs = o }
 
-// Clone returns a deep copy of the marking (sharing the observer, if any).
+// SetTracker attaches (or with nil detaches) a dependency tracker and marks
+// all of its evaluations stale, since the tracker knows nothing of this
+// marking's contents. Unlike the observer, the tracker is not inherited by
+// Clone: a clone is changed independently, so its writes must not mark the
+// owner's evaluations stale.
+func (mk *Marking) SetTracker(t *Tracker) {
+	mk.trk = t
+	if t != nil {
+		t.MarkAll()
+	}
+}
+
+// Clone returns a deep copy of the marking, sharing the observer, if any,
+// but not the tracker.
 func (mk *Marking) Clone() *Marking {
 	cp := &Marking{
 		model:  mk.model,
@@ -241,9 +264,13 @@ func (mk *Marking) Clone() *Marking {
 
 // CopyFrom overwrites mk with the contents of src (same model required).
 // It reuses mk's storage where possible, avoiding allocation in batch loops.
+// It writes every place, so it marks all of mk's tracked evaluations stale.
 func (mk *Marking) CopyFrom(src *Marking) {
 	if mk.model != src.model {
 		panic("san: CopyFrom across models")
+	}
+	if mk.trk != nil {
+		mk.trk.MarkAll()
 	}
 	copy(mk.tokens, src.tokens)
 	for i, e := range src.ext {
@@ -274,10 +301,49 @@ func (mk *Marking) Equal(o *Marking) bool {
 	return true
 }
 
-// Tokens returns the token count of a simple place.
-func (mk *Marking) Tokens(p PlaceID) int {
+// The accessors test both hooks inline and leave the calls to these, which
+// keeps the unobserved, untracked accessors within the inlining budget.
+
+func (mk *Marking) noteRead(p PlaceID) {
 	if mk.obs != nil {
 		mk.obs.ReadPlace(p)
+	}
+	if mk.trk != nil {
+		mk.trk.readPlace(p)
+	}
+}
+
+func (mk *Marking) noteWrite(p PlaceID) {
+	if mk.obs != nil {
+		mk.obs.WritePlace(p)
+	}
+	if mk.trk != nil {
+		mk.trk.writePlace(p)
+	}
+}
+
+func (mk *Marking) noteExtRead(p ExtPlaceID) {
+	if mk.obs != nil {
+		mk.obs.ReadExtPlace(p)
+	}
+	if mk.trk != nil {
+		mk.trk.readExtPlace(p)
+	}
+}
+
+func (mk *Marking) noteExtWrite(p ExtPlaceID) {
+	if mk.obs != nil {
+		mk.obs.WriteExtPlace(p)
+	}
+	if mk.trk != nil {
+		mk.trk.writeExtPlace(p)
+	}
+}
+
+// Tokens returns the token count of a simple place.
+func (mk *Marking) Tokens(p PlaceID) int {
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteRead(p)
 	}
 	return mk.tokens[p]
 }
@@ -286,8 +352,8 @@ func (mk *Marking) Tokens(p PlaceID) int {
 // they indicate a modeling error (an effect firing while its predicate is
 // false).
 func (mk *Marking) SetTokens(p PlaceID, n int) {
-	if mk.obs != nil {
-		mk.obs.WritePlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteWrite(p)
 	}
 	if n < 0 {
 		panic(fmt.Sprintf("san: negative marking %d for place %q", n, mk.model.places[p].name))
@@ -302,42 +368,44 @@ func (mk *Marking) Add(p PlaceID, delta int) {
 }
 
 // Ext returns the contents of an extended place. The returned slice aliases
-// the marking; callers must not retain it across effects.
+// the marking; callers must not retain it across effects, and must not
+// write through it (use ExtSet and the other writers, which the observer
+// and tracker see).
 func (mk *Marking) Ext(p ExtPlaceID) []int {
-	if mk.obs != nil {
-		mk.obs.ReadExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtRead(p)
 	}
 	return mk.ext[p]
 }
 
 // ExtLen returns the length of an extended place's array.
 func (mk *Marking) ExtLen(p ExtPlaceID) int {
-	if mk.obs != nil {
-		mk.obs.ReadExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtRead(p)
 	}
 	return len(mk.ext[p])
 }
 
 // ExtAppend appends v to an extended place's array.
 func (mk *Marking) ExtAppend(p ExtPlaceID, v int) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtWrite(p)
 	}
 	mk.ext[p] = append(mk.ext[p], v)
 }
 
 // ExtAt returns element i of an extended place's array.
 func (mk *Marking) ExtAt(p ExtPlaceID, i int) int {
-	if mk.obs != nil {
-		mk.obs.ReadExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtRead(p)
 	}
 	return mk.ext[p][i]
 }
 
 // ExtSet sets element i of an extended place's array.
 func (mk *Marking) ExtSet(p ExtPlaceID, i, v int) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtWrite(p)
 	}
 	mk.ext[p][i] = v
 }
@@ -345,8 +413,8 @@ func (mk *Marking) ExtSet(p ExtPlaceID, i, v int) {
 // ExtRemoveAt removes element i, preserving the order of the remainder
 // (platoon positions are ordered, so removal must not reshuffle).
 func (mk *Marking) ExtRemoveAt(p ExtPlaceID, i int) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtWrite(p)
 	}
 	arr := mk.ext[p]
 	mk.ext[p] = append(arr[:i], arr[i+1:]...)
@@ -354,8 +422,8 @@ func (mk *Marking) ExtRemoveAt(p ExtPlaceID, i int) {
 
 // ExtIndexOf returns the first index of v in the extended place, or -1.
 func (mk *Marking) ExtIndexOf(p ExtPlaceID, v int) int {
-	if mk.obs != nil {
-		mk.obs.ReadExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtRead(p)
 	}
 	for i, x := range mk.ext[p] {
 		if x == v {
@@ -367,16 +435,16 @@ func (mk *Marking) ExtIndexOf(p ExtPlaceID, v int) int {
 
 // ExtClear empties an extended place.
 func (mk *Marking) ExtClear(p ExtPlaceID) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtWrite(p)
 	}
 	mk.ext[p] = mk.ext[p][:0]
 }
 
 // ExtInsertAt inserts v at position i (0 <= i <= len).
 func (mk *Marking) ExtInsertAt(p ExtPlaceID, i, v int) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
+	if mk.obs != nil || mk.trk != nil {
+		mk.noteExtWrite(p)
 	}
 	arr := mk.ext[p]
 	arr = append(arr, 0)

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"ahs/internal/rng"
@@ -38,7 +39,7 @@ var ErrLivelock = errors.New("sim: instantaneous activity livelock")
 var ErrStepLimit = errors.New("sim: step limit exceeded")
 
 // Observer receives trajectory events. Implementations must not retain the
-// marking across calls.
+// marking across calls and must not mutate it.
 type Observer interface {
 	// OnEvent is called after each activity completion with the simulation
 	// time, the completed activity's name and the resulting marking.
@@ -47,6 +48,9 @@ type Observer interface {
 
 // FactorFn returns a marking-dependent bias multiplier. It must return
 // strictly positive finite values; returning 1 leaves the rate unchanged.
+// Like san.Predicate and san.RateFn it must be a pure function of the
+// marking, read only through the marking's accessors: the Runner reuses a
+// factor until a place it read is written.
 type FactorFn func(mk *san.Marking) float64
 
 // Bias specifies importance-sampling rate multipliers per timed activity,
@@ -195,15 +199,6 @@ type Options struct {
 	// activity name, which keeps the disabled path to a single nil check
 	// and the enabled path allocation-free.
 	Sink telemetry.Sink
-	// ConstantGates maps timed-activity names to statically certified
-	// constant enabling-predicate values (typically structural
-	// ModelFacts.ConstantTimedGates). Listed activities skip the predicate
-	// call on every scan: true means always enabled, false means the
-	// activity is dropped from the race entirely. Certification is the
-	// caller's burden — a wrong entry silently changes trajectories.
-	// Names that are not timed activities of the model are rejected by
-	// NewRunner.
-	ConstantGates map[string]bool
 }
 
 // Result summarises one executed trajectory.
@@ -289,28 +284,36 @@ func (e *instantEngine) chooseCase(activity string, cases []san.Case, mk *san.Ma
 
 // Runner executes trajectories of one model. A Runner is not safe for
 // concurrent use; create one per goroutine.
+//
+// Enabling is incremental: each timed activity's gate, rate and bias factor
+// are evaluated under a san.Tracker scope, which records the places they
+// read. After an event, scanTimed re-evaluates only the activities whose
+// read places were written and reuses the cached rates of the rest. Since
+// the cached values are exactly what a fresh evaluation would return (see
+// san.Tracker), trajectories are bit-identical to re-evaluating everything.
 type Runner struct {
+	_ [128]byte // keep neighbours' writes off enabled's cache line
+
 	model    *san.Model
 	opts     Options
 	instants *instantEngine
+	marking  *san.Marking
+	initial  *san.Marking
 
-	rates   []float64
-	biased  []float64
-	enabled []int
-	marking *san.Marking
-	initial *san.Marking
+	track    *san.Tracker
+	tracking bool
+	// rates and biased hold each timed activity's last evaluated original
+	// and biased rate, 0 while the activity is disabled; enabled counts the
+	// activities with a positive rate. rateSums and biasedSums are their
+	// running sums in index order, so the last entries are the totals.
+	rates      []float64
+	biased     []float64
+	rateSums   []float64
+	biasedSums []float64
+	enabled    int
 
-	// gates[i] tells scanTimed how to treat timed activity i's predicate.
-	gates []gateMode
+	_ [128]byte
 }
-
-type gateMode int8
-
-const (
-	gateDynamic   gateMode = iota // evaluate EnabledIn as usual
-	gateAlwaysOn                  // certified constant true: skip the call
-	gateAlwaysOff                 // certified constant false: skip the activity
-)
 
 // NewRunner validates options and returns a Runner for the model.
 func NewRunner(model *san.Model, opts Options) (*Runner, error) {
@@ -328,89 +331,174 @@ func NewRunner(model *san.Model, opts Options) (*Runner, error) {
 			return nil, fmt.Errorf("sim: activity %q has a general delay distribution; use NewGeneralRunner", act.Name)
 		}
 	}
+	n := model.NumTimed()
+	// Pad the cached rates like the tracker's bitsets: they change on
+	// every event, and runners on other cores must not share their lines.
+	const pad = 16
+	buf := make([]float64, 4*n+2*pad)[pad : pad+4*n]
 	r := &Runner{
-		model:    model,
-		opts:     opts,
-		initial:  model.InitialMarking(),
-		instants: newInstantEngine(model, opts.MaxInstantFirings),
-	}
-	if len(opts.ConstantGates) > 0 {
-		r.gates = make([]gateMode, model.NumTimed())
-		matched := 0
-		for i := 0; i < model.NumTimed(); i++ {
-			v, ok := opts.ConstantGates[model.Timed(i).Name]
-			if !ok {
-				continue
-			}
-			matched++
-			if v {
-				r.gates[i] = gateAlwaysOn
-			} else {
-				r.gates[i] = gateAlwaysOff
-			}
-		}
-		if matched != len(opts.ConstantGates) {
-			for name := range opts.ConstantGates {
-				if !hasTimed(model, name) {
-					return nil, fmt.Errorf("sim: ConstantGates names unknown timed activity %q", name)
-				}
-			}
-		}
+		model:      model,
+		opts:       opts,
+		initial:    model.InitialMarking(),
+		instants:   newInstantEngine(model, opts.MaxInstantFirings),
+		track:      san.NewTracker(model, n),
+		tracking:   true,
+		rates:      buf[:n:n],
+		biased:     buf[n : 2*n : 2*n],
+		rateSums:   buf[2*n : 3*n : 3*n],
+		biasedSums: buf[3*n : 4*n : 4*n],
 	}
 	r.marking = r.initial.Clone()
+	r.marking.SetTracker(r.track)
 	return r, nil
 }
 
-func hasTimed(model *san.Model, name string) bool {
-	for i := 0; i < model.NumTimed(); i++ {
-		if model.Timed(i).Name == name {
-			return true
-		}
+// SetTracking switches incremental enabling on (the default) or off. Off,
+// every scan re-evaluates every timed activity: the reference the
+// incremental scan must match bit for bit.
+func (r *Runner) SetTracking(on bool) {
+	r.tracking = on
+	if on {
+		r.marking.SetTracker(r.track)
+	} else {
+		r.marking.SetTracker(nil)
+		r.track.MarkAll()
 	}
-	return false
 }
 
 // Model returns the model being executed.
 func (r *Runner) Model() *san.Model { return r.model }
 
-// scanTimed fills r.enabled/r.rates/r.biased for the current marking and
-// returns the original and biased total rates.
+// scanTimed brings the cached rates up to date with the current marking,
+// re-evaluating the stale activities in ascending index order, and returns
+// the original and biased total rates.
+//
+// The totals are running sums over all activities in index order. A
+// disabled activity adds +0, which leaves a float sum unchanged, so each
+// running sum equals the sum over the enabled activities alone, the order
+// a full scan adds them in. Entries below the lowest changed activity
+// depend only on unchanged inputs and keep their bits; the rest are
+// re-summed.
 func (r *Runner) scanTimed() (total, biasedTotal float64, err error) {
-	r.enabled = r.enabled[:0]
-	r.rates = r.rates[:0]
-	r.biased = r.biased[:0]
-	for i := 0; i < r.model.NumTimed(); i++ {
-		act := r.model.Timed(i)
-		if r.gates != nil {
-			switch r.gates[i] {
-			case gateAlwaysOff:
-				continue
-			case gateAlwaysOn:
-				// certified enabled: skip the predicate call
-			default:
-				if !act.EnabledIn(r.marking) {
-					continue
-				}
+	if !r.tracking {
+		r.track.MarkAll()
+	}
+	n := len(r.rates)
+	lo := n // lowest activity whose cached rates changed
+	stale := r.track.Stale()
+	for w, word := range stale {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			changed, err := r.evaluate(i)
+			if err != nil {
+				r.track.MarkAll() // the failed evaluation left its cache stale
+				r.resum(lo)
+				return 0, 0, err
 			}
-		} else if !act.EnabledIn(r.marking) {
-			continue
+			if changed && lo == n {
+				lo = i
+			}
 		}
-		rate, rerr := act.RateIn(r.marking)
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		factor, rerr := r.opts.Bias.FactorIn(i, r.marking)
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		b := rate * factor
-		r.enabled = append(r.enabled, i)
-		r.rates = append(r.rates, rate)
-		r.biased = append(r.biased, b)
-		total += rate
-		biasedTotal += b
+		stale[w] = 0
+	}
+	r.resum(lo)
+	if n > 0 {
+		total, biasedTotal = r.rateSums[n-1], r.biasedSums[n-1]
+	}
+	if crossCheck {
+		r.checkScan(total, biasedTotal)
 	}
 	return total, biasedTotal, nil
+}
+
+// resum recomputes the running sums from activity lo on.
+func (r *Runner) resum(lo int) {
+	var acc, bacc float64
+	if lo > 0 {
+		acc, bacc = r.rateSums[lo-1], r.biasedSums[lo-1]
+	}
+	n := len(r.rates)
+	rates, biased, sums, bsums := r.rates[:n], r.biased[:n], r.rateSums[:n], r.biasedSums[:n]
+	for i := lo; i < n; i++ {
+		acc += rates[i]
+		bacc += biased[i]
+		sums[i], bsums[i] = acc, bacc
+	}
+}
+
+// evaluate re-runs timed activity i's gate, rate and bias factor, with the
+// reads attributed to i, caches the result and reports whether it changed.
+func (r *Runner) evaluate(i int) (changed bool, err error) {
+	act := r.model.Timed(i)
+	r.track.Begin(i)
+	rate, b, err := r.rateOf(i, act)
+	r.track.End()
+	if err != nil {
+		return false, err
+	}
+	if was := r.rates[i] > 0; was != (rate > 0) {
+		if was {
+			r.enabled--
+		} else {
+			r.enabled++
+		}
+	}
+	changed = math.Float64bits(rate) != math.Float64bits(r.rates[i]) ||
+		math.Float64bits(b) != math.Float64bits(r.biased[i])
+	r.rates[i], r.biased[i] = rate, b
+	return changed, nil
+}
+
+// pick draws the completing activity under the biased measure, returning
+// exactly what stream.Choice(r.biased) would from the same draw. Choice
+// picks the first positive weight whose running sum exceeds u; a zero
+// weight repeats the previous sum, so that is the first index whose
+// running sum exceeds u, found here by bisection instead of two linear
+// passes.
+func (r *Runner) pick(stream *rng.Stream, biasedTotal float64) int {
+	var want int
+	if crossCheck {
+		want = stream.Clone().Choice(r.biased)
+	}
+	u := stream.Float64() * biasedTotal
+	sums := r.biasedSums
+	lo, hi := 0, len(sums)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if u < sums[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(sums) {
+		// Rounding put u at the total: like Choice, take the last
+		// activity with a positive weight.
+		for lo--; lo > 0 && !(r.biased[lo] > 0); lo-- {
+		}
+	}
+	if crossCheck && lo != want {
+		panic(fmt.Sprintf("sim: simcheck: picked activity %d, Choice picks %d", lo, want))
+	}
+	return lo
+}
+
+// rateOf returns timed activity i's original and biased rate in the current
+// marking, both 0 when it is disabled.
+func (r *Runner) rateOf(i int, act *san.TimedActivity) (rate, biased float64, err error) {
+	if !act.EnabledIn(r.marking) {
+		return 0, 0, nil
+	}
+	rate, err = act.RateIn(r.marking)
+	if err != nil {
+		return 0, 0, err
+	}
+	factor, err := r.opts.Bias.FactorIn(i, r.marking)
+	if err != nil {
+		return 0, 0, err
+	}
+	return rate, rate * factor, nil
 }
 
 // Run executes one trajectory from the model's initial marking using the
@@ -466,7 +554,7 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 		if err != nil {
 			return res, err
 		}
-		if len(r.enabled) == 0 {
+		if r.enabled == 0 {
 			// Deadlock: the marking no longer changes; sample all
 			// remaining probe points from it. With no enabled activities
 			// the original and biased survival probabilities both equal
@@ -493,11 +581,11 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 		r.fillProbes(probes, next, tNext, false, t, logLR, total, biasedTotal)
 
 		// Choose the completing activity under the biased measure.
-		k := stream.Choice(r.biased)
+		k := r.pick(stream, biasedTotal)
 		logLR += math.Log(r.rates[k]/r.biased[k]) + (biasedTotal-total)*tau
 
 		t = tNext
-		act := r.model.Timed(r.enabled[k])
+		act := r.model.Timed(k)
 		caseIdx, err := r.instants.chooseCase(act.Name, act.Cases, r.marking, stream)
 		if err != nil {
 			return res, err

@@ -743,20 +743,29 @@ func buildGated(alwaysCalls, neverCalls *int) (*san.Model, san.PlaceID) {
 	return b.MustBuild(), c
 }
 
-func TestConstantGatesBitIdenticalTrajectories(t *testing.T) {
-	// Skipping certified-constant gates must not perturb the trajectory:
-	// same stream, same probes, bit-identical values.
+// checkScans is the number of predicate calls per activity that the
+// simcheck build's full cross-check scans add to a run without a stop
+// predicate: one per scan, and a run scans once per step plus once at the
+// end.
+func checkScans(res Result) int {
+	if !crossCheck {
+		return 0
+	}
+	return int(res.Steps) + 1
+}
+
+func TestConstantGateTrajectoriesMatchFullScan(t *testing.T) {
+	// Evaluating a gate once per trajectory must not perturb the
+	// trajectory: same stream, same probes, bit-identical values.
 	var a1, n1, a2, n2 int
 	m1, c1 := buildGated(&a1, &n1)
 	m2, c2 := buildGated(&a2, &n2)
-	plain, err := NewRunner(m1, Options{MaxTime: 5})
+	full, err := NewRunner(m1, Options{MaxTime: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := NewRunner(m2, Options{
-		MaxTime:       5,
-		ConstantGates: map[string]bool{"arrive": true, "poison": false},
-	})
+	full.SetTracking(false)
+	tracked, err := NewRunner(m2, Options{MaxTime: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -769,53 +778,50 @@ func TestConstantGatesBitIdenticalTrajectories(t *testing.T) {
 	src := rng.NewSource(77)
 	for i := 0; i < 50; i++ {
 		p1, p2 := probeFor(c1), probeFor(c2)
-		r1, err := plain.Run(src.Stream(uint64(i)), p1)
+		r1, err := full.Run(src.Stream(uint64(i)), p1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := gated.Run(src.Stream(uint64(i)), p2)
+		r2, err := tracked.Run(src.Stream(uint64(i)), p2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r1.Steps != r2.Steps || r1.End != r2.End {
+		if r1.Steps != r2.Steps || math.Float64bits(r1.End) != math.Float64bits(r2.End) {
 			t.Fatalf("run %d diverged: %+v vs %+v", i, r1, r2)
 		}
 		for j := range p1.Values {
-			if p1.Values[j] != p2.Values[j] {
-				t.Fatalf("run %d probe %d: %v vs %v", i, j, p1.Values[j], p2.Values[j])
+			if math.Float64bits(p1.Values[j]) != math.Float64bits(p2.Values[j]) {
+				t.Fatalf("run %d probe %d: %b vs %b", i, j, p1.Values[j], p2.Values[j])
 			}
 		}
 	}
+	if a2 >= a1 {
+		t.Fatalf("tracking evaluated arrive's gate %d times, the full scan %d", a2, a1)
+	}
 }
 
-func TestConstantGatesSkipPredicateCalls(t *testing.T) {
+func TestConstantGateEvaluatedOncePerRun(t *testing.T) {
 	var always, never int
 	m, _ := buildGated(&always, &never)
-	r, err := NewRunner(m, Options{
-		MaxTime:       2,
-		ConstantGates: map[string]bool{"arrive": true, "poison": false},
-	})
+	r, err := NewRunner(m, Options{MaxTime: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Builder probing during Build may have evaluated the predicates;
 	// only calls made while running count.
-	always, never = 0, 0
-	if _, err := r.Run(rng.NewStream(9)); err != nil {
-		t.Fatal(err)
-	}
-	if always != 0 || never != 0 {
-		t.Fatalf("constant gates still evaluated: arrive=%d poison=%d", always, never)
-	}
-}
-
-func TestConstantGatesUnknownActivityRejected(t *testing.T) {
-	m, _ := buildPoisson(1)
-	_, err := NewRunner(m, Options{
-		MaxTime:       1,
-		ConstantGates: map[string]bool{"no-such-activity": true},
-	})
-	if err == nil {
-		t.Fatal("unknown ConstantGates name must be rejected")
+	for i := uint64(0); i < 5; i++ {
+		always, never = 0, 0
+		res, err := r.Run(rng.NewStream(9 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps == 0 {
+			t.Fatalf("run %d fired nothing; the test needs events", i)
+		}
+		extra := checkScans(res)
+		if always-extra > 1 || never-extra > 1 {
+			t.Fatalf("run %d (%d steps): gates reading no place evaluated arrive=%d poison=%d times, want at most 1",
+				i, res.Steps, always-extra, never-extra)
+		}
 	}
 }

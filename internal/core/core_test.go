@@ -935,58 +935,6 @@ func TestPhasedSlowerCoordinationIsLessSafe(t *testing.T) {
 	}
 }
 
-// TestGeneralRunnerAgreesOnAHSModel executes the real AHS model (which is
-// exponential-only) under the event-queue executor and checks both the
-// structural invariants and statistical agreement with the race executor.
-func TestGeneralRunnerAgreesOnAHSModel(t *testing.T) {
-	p := DefaultParams()
-	p.N = 3
-	p.Lambda = 0.05
-	a := MustBuild(p)
-	const horizon = 10.0
-	const batches = 4000
-
-	estimate := func(run func(stream *rng.Stream) (sim.Result, error)) float64 {
-		src := rng.NewSource(61)
-		hits := 0
-		for i := 0; i < batches; i++ {
-			res, err := run(src.Stream(uint64(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stopped {
-				hits++
-			}
-		}
-		return float64(hits) / batches
-	}
-
-	race, err := sim.NewRunner(a.Model, sim.Options{MaxTime: horizon, Stop: a.Unsafe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pRace := estimate(func(s *rng.Stream) (sim.Result, error) { return race.Run(s) })
-
-	obs := &invariantObserver{t: t, a: a}
-	general, err := sim.NewGeneralRunner(a.Model, sim.Options{MaxTime: horizon, Stop: a.Unsafe, Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pGen := estimate(func(s *rng.Stream) (sim.Result, error) { return general.Run(s) })
-	if obs.err != nil {
-		t.Fatal(obs.err)
-	}
-
-	// Binomial 5-sigma agreement.
-	se := math.Sqrt(pRace*(1-pRace)/batches + pGen*(1-pGen)/batches)
-	if math.Abs(pRace-pGen) > 5*se+1e-9 {
-		t.Fatalf("executors disagree on AHS unsafety: race %v vs event-queue %v (se %v)", pRace, pGen, se)
-	}
-	if pRace == 0 {
-		t.Fatal("test setup: no unsafety observed at lambda=0.05")
-	}
-}
-
 func TestMultiLaneStructure(t *testing.T) {
 	p := DefaultParams()
 	p.N = 4

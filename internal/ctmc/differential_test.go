@@ -66,8 +66,8 @@ func randomTokenNet(r *rng.Stream, id int) (*san.Model, []san.PlaceID) {
 
 // TestDifferentialSimulatorVsExactOnRandomNets is a randomized differential
 // test of the whole evaluation stack: for a batch of randomly generated
-// token nets, the race-semantics simulator, the event-queue executor and
-// the uniformization solver must agree on a transient token count.
+// token nets, the race-semantics simulator and the uniformization solver
+// must agree on a transient token count.
 func TestDifferentialSimulatorVsExactOnRandomNets(t *testing.T) {
 	metaStream := rng.NewStream(2026)
 	const horizon = 1.5
@@ -91,43 +91,26 @@ func TestDifferentialSimulatorVsExactOnRandomNets(t *testing.T) {
 			exact += p * float64(g.States[s].Tokens(places[0]))
 		}
 
-		value := func(mk *san.Marking) float64 { return float64(mk.Tokens(places[0])) }
-		estimate := func(run func(stream *rng.Stream, probe *sim.Probe) error) *stats.Welford {
-			probe := &sim.Probe{Times: []float64{horizon}, Value: value}
-			src := rng.NewSource(uint64(1000 + modelID))
-			var acc stats.Welford
-			for i := 0; i < batches; i++ {
-				if err := run(src.Stream(uint64(i)), probe); err != nil {
-					t.Fatalf("model %d: %v", modelID, err)
-				}
-				acc.Add(probe.Values[0])
-			}
-			return &acc
-		}
-
 		race, err := sim.NewRunner(m, sim.Options{MaxTime: horizon})
 		if err != nil {
 			t.Fatalf("model %d: %v", modelID, err)
 		}
-		raceAcc := estimate(func(s *rng.Stream, p *sim.Probe) error {
-			_, err := race.Run(s, p)
-			return err
-		})
-		general, err := sim.NewGeneralRunner(m, sim.Options{MaxTime: horizon})
-		if err != nil {
-			t.Fatalf("model %d: %v", modelID, err)
+		probe := &sim.Probe{
+			Times: []float64{horizon},
+			Value: func(mk *san.Marking) float64 { return float64(mk.Tokens(places[0])) },
 		}
-		genAcc := estimate(func(s *rng.Stream, p *sim.Probe) error {
-			_, err := general.Run(s, p)
-			return err
-		})
-
-		for name, acc := range map[string]*stats.Welford{"race": raceAcc, "event-queue": genAcc} {
-			tol := 5*acc.StdErr() + 1e-9
-			if math.Abs(acc.Mean()-exact) > tol {
-				t.Errorf("model %d (%d states): %s executor %v vs exact %v (tol %v)",
-					modelID, g.NumStates(), name, acc.Mean(), exact, tol)
+		src := rng.NewSource(uint64(1000 + modelID))
+		var acc stats.Welford
+		for i := 0; i < batches; i++ {
+			if _, err := race.Run(src.Stream(uint64(i)), probe); err != nil {
+				t.Fatalf("model %d: %v", modelID, err)
 			}
+			acc.Add(probe.Values[0])
+		}
+		tol := 5*acc.StdErr() + 1e-9
+		if math.Abs(acc.Mean()-exact) > tol {
+			t.Errorf("model %d (%d states): race executor %v vs exact %v (tol %v)",
+				modelID, g.NumStates(), acc.Mean(), exact, tol)
 		}
 	}
 }

@@ -568,21 +568,3 @@ func Participants(v View, vehicle int, m Maneuver, s Strategy) ([]int, error) {
 	}
 	return out, nil
 }
-
-// DegradedParticipants returns how many of the maneuver's participants are
-// currently not operational. Maneuver success probability decreases in this
-// count (see internal/core), which is what couples nearby failures and makes
-// larger coordination sets — i.e. centralized strategies — less safe.
-func DegradedParticipants(v View, vehicle int, m Maneuver, s Strategy) (int, error) {
-	parts, err := Participants(v, vehicle, m, s)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, id := range parts {
-		if !v.Operational(id) {
-			n++
-		}
-	}
-	return n, nil
-}

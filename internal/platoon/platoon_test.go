@@ -479,24 +479,6 @@ func TestParticipantsErrors(t *testing.T) {
 	}
 }
 
-func TestDegradedParticipants(t *testing.T) {
-	v := testView([]int{10, 11, 12, 13}, []int{20}, 11, 13)
-	n, err := DegradedParticipants(v, 12, TIE, DD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("degraded participants %d, want 2 (11 and 13)", n)
-	}
-	n, err = DegradedParticipants(v, 12, CS, DD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("degraded participants %d, want 1 (13)", n)
-	}
-}
-
 func TestStringMethods(t *testing.T) {
 	if FM3.String() != "FM3" || FailureMode(9).String() == "FM9" {
 		t.Error("FailureMode.String")

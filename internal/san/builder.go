@@ -106,18 +106,9 @@ func (b *Builder) Timed(a TimedActivity) {
 	if !b.claim(a.Name, "timed activity") {
 		return
 	}
-	switch {
-	case a.Rate == nil && a.Delay == nil:
-		b.fail("san: timed activity %q has neither rate nor delay", a.Name)
+	if a.Rate == nil {
+		b.fail("san: timed activity %q has no rate", a.Name)
 		return
-	case a.Rate != nil && a.Delay != nil:
-		b.fail("san: timed activity %q has both rate and delay", a.Name)
-		return
-	case a.Delay != nil:
-		if err := ValidateDistribution(a.Delay); err != nil {
-			b.fail("san: timed activity %q: %v", a.Name, err)
-			return
-		}
 	}
 	b.root.model.timed = append(b.root.model.timed, a)
 	b.root.model.activities[a.Name] = true

@@ -17,7 +17,7 @@
 // Models are built with a Builder, optionally through the Rep and Join
 // composition helpers mirroring the Möbius Rep/Join operators used in
 // Figure 9 of the paper. Execution lives in internal/sim; exact numerical
-// solution of exponential-only models lives in internal/ctmc.
+// solution lives in internal/ctmc.
 package san
 
 import (
@@ -65,33 +65,24 @@ type Case struct {
 	Output Effect
 }
 
-// TimedActivity completes after a random delay.
+// TimedActivity completes after an exponentially distributed delay.
 //
-// Exactly one of Rate and Delay must be set. Rate describes a (possibly
-// marking-dependent) exponential delay executable by both the race-semantics
-// executor (sim.Runner, which also supports importance sampling) and the
-// event-queue executor (sim.GeneralRunner). Delay describes an arbitrary
-// positive distribution and restricts the model to the event-queue executor.
+// Rate is required. Exponential delays are a contract of the package, not
+// a convenience: the simulator's importance-sampling likelihood ratios,
+// uniformization in internal/ctmc and mid-trajectory chunk restarts all
+// rely on the activity being memoryless.
 type TimedActivity struct {
 	Name string
 	// Enabled gates the activity; nil means always enabled.
 	Enabled Predicate
 	// Rate is the exponential completion rate (marking-dependent allowed).
 	Rate RateFn
-	// Delay is a general firing-delay distribution, sampled when the
-	// activity becomes enabled ("restart" reactivation: disabling discards
-	// the sampled clock).
-	Delay Distribution
 	// Input is applied on completion before the selected case's Output;
 	// nil means no change.
 	Input Effect
 	// Cases are the completion branches; empty means a single unit case.
 	Cases []Case
 }
-
-// Exponential reports whether the activity has an exponential delay
-// (a Rate function rather than a general Delay distribution).
-func (a *TimedActivity) Exponential() bool { return a.Delay == nil }
 
 // InstantActivity completes in zero time as soon as it is enabled.
 // Lower Priority values fire first when several are enabled simultaneously.

@@ -66,27 +66,11 @@ func TestBuilderCrossKindNameClash(t *testing.T) {
 	}
 }
 
-func TestBuilderRequiresRateOrDelay(t *testing.T) {
+func TestBuilderRequiresRate(t *testing.T) {
 	b := NewBuilder("norate")
-	b.Timed(TimedActivity{Name: "a"})
-	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "neither rate nor delay") {
-		t.Fatal("expected missing-rate error")
-	}
-}
-
-func TestBuilderRejectsRateAndDelay(t *testing.T) {
-	b := NewBuilder("both")
-	b.Timed(TimedActivity{Name: "a", Rate: ConstRate(1), Delay: Deterministic{Value: 1}})
-	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "both rate and delay") {
-		t.Fatal("expected both-rate-and-delay error")
-	}
-}
-
-func TestBuilderValidatesDelayDistribution(t *testing.T) {
-	b := NewBuilder("baddelay")
-	b.Timed(TimedActivity{Name: "a", Delay: Uniform{Lo: 5, Hi: 2}})
-	if _, err := b.Build(); err == nil {
-		t.Fatal("expected invalid-distribution error")
+	b.Timed(TimedActivity{Name: "brake"})
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), `"brake" has no rate`) {
+		t.Fatalf("expected missing-rate error naming the activity, got %v", err)
 	}
 }
 
@@ -488,9 +472,6 @@ func TestModelAccessors(t *testing.T) {
 	// Timed activity with nil predicate is always enabled.
 	if !m.Timed(0).EnabledIn(mk) {
 		t.Fatal("nil-predicate activity must be enabled")
-	}
-	if !m.Timed(0).Exponential() {
-		t.Fatal("rate-based activity must report Exponential")
 	}
 	if m.Instant(0).EnabledIn(mk) {
 		t.Fatal("instant with unmet predicate must be disabled")

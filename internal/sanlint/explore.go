@@ -262,11 +262,8 @@ func (l *linter) recoverPanic(what, activity string, mk *san.Marking) {
 	}
 }
 
-// checkRate validates the rate of an enabled exponential activity (SAN009).
+// checkRate validates the rate of an enabled activity (SAN009).
 func (l *linter) checkRate(act *san.TimedActivity, mk *san.Marking) {
-	if !act.Exponential() {
-		return
-	}
 	defer l.recoverPanic("rate function of", act.Name, mk)
 	if _, err := act.RateIn(mk); err != nil {
 		var witness string

@@ -220,8 +220,8 @@ type Result struct {
 	Deadlocked bool
 }
 
-// instantEngine fires enabled instantaneous activities in priority order,
-// shared by the race-semantics Runner and the event-queue GeneralRunner.
+// instantEngine fires enabled instantaneous activities in priority order
+// and chooses completion cases for the Runner.
 type instantEngine struct {
 	model      *san.Model
 	order      []int // instantaneous activity indices sorted by priority
@@ -325,11 +325,6 @@ func NewRunner(model *san.Model, opts Options) (*Runner, error) {
 	}
 	if opts.MaxInstantFirings == 0 {
 		opts.MaxInstantFirings = 100_000
-	}
-	for i := 0; i < model.NumTimed(); i++ {
-		if act := model.Timed(i); !act.Exponential() {
-			return nil, fmt.Errorf("sim: activity %q has a general delay distribution; use NewGeneralRunner", act.Name)
-		}
 	}
 	n := model.NumTimed()
 	// Pad the cached rates like the tracker's bitsets: they change on

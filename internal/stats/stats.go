@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates mean and variance in a single numerically stable pass.
@@ -257,76 +256,4 @@ func (r RelativeStopRule) Satisfied(w *Welford) bool {
 		return false
 	}
 	return w.CI(r.Confidence).RelativeHalfWidth() <= r.MaxRelHalfWidth
-}
-
-// Histogram accumulates observations into fixed-width bins over [Lo, Hi).
-// Observations outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi      float64
-	Counts      []uint64
-	Under, Over uint64
-	total       uint64
-}
-
-// NewHistogram returns a histogram with the given number of bins over
-// [lo, hi). It returns an error for invalid ranges or bin counts.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid histogram range [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i >= len(h.Counts) { // rounding at the upper edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of a sorted copy of xs using
-// linear interpolation. It returns an error when xs is empty or q is out of
-// range.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(pos)
-	if i == len(sorted)-1 {
-		return sorted[i], nil
-	}
-	frac := pos - float64(i)
-	return sorted[i]*(1-frac) + sorted[i+1]*frac, nil
 }

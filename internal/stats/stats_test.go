@@ -226,73 +226,6 @@ func TestPaperStopRuleParameters(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-1)  // under
-	h.Add(0)   // bin 0
-	h.Add(1.9) // bin 0
-	h.Add(2)   // bin 1
-	h.Add(9.9) // bin 4
-	h.Add(10)  // over
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	want := []uint64{2, 1, 0, 0, 1}
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Fatalf("bin %d = %d, want %d", i, h.Counts[i], c)
-		}
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total %d", h.Total())
-	}
-	if !almostEqual(h.BinCenter(0), 1, 1e-12) || !almostEqual(h.BinCenter(4), 9, 1e-12) {
-		t.Fatalf("bin centers %v %v", h.BinCenter(0), h.BinCenter(4))
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("expected error for empty range")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4}
-	q0, _ := Quantile(xs, 0)
-	q1, _ := Quantile(xs, 1)
-	med, _ := Quantile(xs, 0.5)
-	if q0 != 1 || q1 != 4 {
-		t.Fatalf("extremes %v %v", q0, q1)
-	}
-	if !almostEqual(med, 2.5, 1e-12) {
-		t.Fatalf("median %v", med)
-	}
-	// Input must not be mutated.
-	if xs[0] != 3 {
-		t.Fatal("Quantile mutated its input")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("expected error for empty input")
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("expected error for out-of-range q")
-	}
-}
-
-func TestQuantileSingleElement(t *testing.T) {
-	v, err := Quantile([]float64{7}, 0.3)
-	if err != nil || v != 7 {
-		t.Fatalf("got %v, %v", v, err)
-	}
-}
-
 func TestIntervalString(t *testing.T) {
 	iv := Interval{Point: 0.5, Lo: 0.4, Hi: 0.6, Confidence: 0.95, N: 100}
 	s := iv.String()

@@ -179,12 +179,9 @@ func (p *prober) instEnabled(i int, act *san.InstantActivity, mk *san.Marking) (
 	return on, err
 }
 
-// observeRate records the rate of an enabled exponential activity for the
+// observeRate records the rate of an enabled activity for the
 // stiffness report.
 func (p *prober) observeRate(act *san.TimedActivity, mk *san.Marking) error {
-	if !act.Exponential() {
-		return nil
-	}
 	var (
 		r    float64
 		rerr error

@@ -183,16 +183,3 @@ func (s *Summary) String() string {
 	}
 	return b.String()
 }
-
-// InterEventTimes returns the gaps between consecutive events of one
-// trajectory (empty for fewer than two events).
-func InterEventTimes(events []sim.TraceEvent) []float64 {
-	if len(events) < 2 {
-		return nil
-	}
-	out := make([]float64, 0, len(events)-1)
-	for i := 1; i < len(events); i++ {
-		out = append(out, events[i].Time-events[i-1].Time)
-	}
-	return out
-}

@@ -95,17 +95,6 @@ func TestZeroDurationRate(t *testing.T) {
 	}
 }
 
-func TestInterEventTimes(t *testing.T) {
-	events := []sim.TraceEvent{{Time: 1}, {Time: 1.5}, {Time: 3}}
-	gaps := InterEventTimes(events)
-	if len(gaps) != 2 || gaps[0] != 0.5 || gaps[1] != 1.5 {
-		t.Fatalf("gaps %v", gaps)
-	}
-	if InterEventTimes(events[:1]) != nil {
-		t.Fatal("single event must yield no gaps")
-	}
-}
-
 func TestSummaryStringRendering(t *testing.T) {
 	s := Summarize([]sim.TraceEvent{{Time: 1, Activity: "x"}}, 2, false)
 	out := s.String()
